@@ -27,8 +27,9 @@ from . import REGIME_PRESETS, __version__
 from .correlations import OBR_ORDER, PAIR_ORDER, TRIPLE_ORDER, evaluate_grid
 from .linearized import DriftDiffusion, spectrum_grid
 from .model import NonPositiveRate, SystemParams, validate_params
-from .semiclassical import NotStationary, pulsing_threshold, require_steady_state
-from .stochastic import run_ensemble
+from .semiclassical import (NoThresholdInRange, NotStationary,
+                            pulsing_threshold, require_steady_state)
+from .stochastic import ExcessiveDivergence, run_ensemble
 
 __all__ = [
     "MODES",
@@ -45,9 +46,24 @@ MODES = ("steady", "spectra", "correlations", "stochastic", "threshold",
          "figures")
 
 _PARAM_KEYS = ("kappa1", "kappa2", "epsilon", "gamma1", "gamma2", "gamma3")
-_FLOAT_KEYS = {"omega_min", "omega_max", "dt", "t_end"}
-_INT_KEYS = {"omega_steps", "seed", "n_traj", "regime"}
-_STR_KEYS = {"mode", "out"}
+
+# Run settings: config-file key -> (type, default).  A flag of the same name
+# (dashes for underscores) sets each one, except the grid keys, which
+# --omega-range sets together.
+_SETTINGS = {
+    "omega_min": (float, -20.0),
+    "omega_max": (float, 20.0),
+    "omega_steps": (int, 801),
+    "seed": (int, 0),
+    "out": (str, "."),
+    "dt": (float, 1e-3),
+    "t_end": (float, 50.0),
+    "n_traj": (int, 1000),
+}
+_GRID_KEYS = ("omega_min", "omega_max", "omega_steps")
+# Every key a config file may hold, with the type of its value.
+_FILE_KEYS = {**dict.fromkeys(_PARAM_KEYS, float), "mode": str, "regime": int,
+              **{key: typ for key, (typ, _) in _SETTINGS.items()}}
 
 # Scan window for threshold mode; wide enough to bracket the instability of
 # both presets with room to spare.
@@ -68,14 +84,14 @@ class RunConfig:
 
     params: SystemParams
     mode: str
-    omega_min: float = -20.0
-    omega_max: float = 20.0
-    omega_steps: int = 801
-    output_path: str = "."
-    seed: int = 0
-    dt: float = 1e-3
-    t_end: float = 50.0
-    n_traj: int = 1000
+    omega_min: float = _SETTINGS["omega_min"][1]
+    omega_max: float = _SETTINGS["omega_max"][1]
+    omega_steps: int = _SETTINGS["omega_steps"][1]
+    output_path: str = _SETTINGS["out"][1]
+    seed: int = _SETTINGS["seed"][1]
+    dt: float = _SETTINGS["dt"][1]
+    t_end: float = _SETTINGS["t_end"][1]
+    n_traj: int = _SETTINGS["n_traj"][1]
     regime: int | None = None
     gnuplot: bool = False
 
@@ -83,6 +99,8 @@ class RunConfig:
         if self.mode not in MODES:
             raise ConfigParse(f"unknown mode {self.mode!r}; "
                               f"choose one of {', '.join(MODES)}")
+        if self.regime not in (None, *REGIME_PRESETS):
+            raise ConfigParse("regime must be 1 or 2")
         if not self.omega_min < self.omega_max:
             raise ConfigParse("omega_min must be below omega_max")
         if self.omega_steps < 2:
@@ -91,22 +109,23 @@ class RunConfig:
             raise ConfigParse("dt and t_end must be positive")
         if self.n_traj < 1:
             raise ConfigParse("n_traj must be at least 1")
-        if self.regime not in (None, 1, 2):
-            raise ConfigParse("regime must be 1 or 2")
         try:
             validate_params(self.params)
         except NonPositiveRate as exc:
             raise ConfigParse(str(exc)) from exc
 
     def omega_grid(self) -> np.ndarray:
-        """Analysis frequencies; always contains 0 when the range straddles it.
+        """Analysis frequencies; contains 0 when the range straddles it.
 
-        The point nearest zero is snapped onto it, preserving the requested
-        count, so zero-frequency criteria are always evaluated exactly.
+        The interior point nearest zero is snapped onto it, preserving the
+        requested count and both endpoints, so zero-frequency criteria are
+        evaluated exactly.  A two-point grid has no interior point to snap.
         """
         g = np.linspace(self.omega_min, self.omega_max, self.omega_steps)
-        if self.omega_min < 0.0 < self.omega_max and not np.any(g == 0.0):
-            g[np.abs(g).argmin()] = 0.0
+        inner = g[1:-1]
+        if (self.omega_min < 0.0 < self.omega_max and inner.size
+                and not np.any(g == 0.0)):
+            inner[np.abs(inner).argmin()] = 0.0
         return g
 
 
@@ -124,18 +143,11 @@ def parse_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ConfigParse(f"{path}:{ln}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _FILE_KEYS:
+            raise ConfigParse(f"{path}:{ln}: unknown key {key!r}")
         try:
-            if key in _PARAM_KEYS or key in _FLOAT_KEYS:
-                entries[key] = float(value)
-            elif key in _INT_KEYS:
-                entries[key] = int(value)
-            elif key in _STR_KEYS:
-                entries[key] = value
-            else:
-                raise ConfigParse(f"{path}:{ln}: unknown key {key!r}")
+            entries[key] = _FILE_KEYS[key](value)
         except ValueError as exc:
-            if isinstance(exc, ConfigParse):
-                raise
             raise ConfigParse(f"{path}:{ln}: bad value for {key}: "
                               f"{value!r}") from exc
     return entries
@@ -147,20 +159,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _make_parser() -> _Parser:
+    # Mode and regime are checked by RunConfig; the metavars list the choices.
     parser = _Parser(prog="harmoniccascade",
                      description="Cascaded harmonic generation analysis")
-    parser.add_argument("mode_pos", nargs="?", choices=MODES, metavar="MODE",
+    parser.add_argument("mode_pos", nargs="?", metavar="MODE",
                         help="one of: " + ", ".join(MODES))
-    parser.add_argument("--mode", choices=MODES, dest="mode_flag")
+    parser.add_argument("--mode", dest="mode_flag",
+                        metavar="{" + ",".join(MODES) + "}")
     parser.add_argument("--config", metavar="PATH")
-    parser.add_argument("--regime", type=int, choices=(1, 2))
+    parser.add_argument("--regime", type=int,
+                        metavar="{" + ",".join(map(str, REGIME_PRESETS)) + "}")
     parser.add_argument("--epsilon", type=float)
     parser.add_argument("--omega-range", metavar="MIN:MAX:STEPS")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", metavar="DIR")
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--t-end", type=float)
-    parser.add_argument("--n-traj", type=int)
+    for key, (typ, _) in _SETTINGS.items():
+        if key not in _GRID_KEYS:
+            parser.add_argument("--" + key.replace("_", "-"), type=typ,
+                                metavar="DIR" if key == "out" else None)
     parser.add_argument("--gnuplot", action="store_true",
                         help="also emit a gnuplot script plotting the CSVs")
     parser.add_argument("--version", action="version",
@@ -183,63 +197,52 @@ def _join_omega_range(argv: list[str]) -> list[str]:
 
 
 def build_config(argv: list[str]) -> RunConfig:
-    """Resolve flags plus optional config file into a validated RunConfig."""
+    """Resolve flags plus optional config file into a validated RunConfig.
+
+    Each value comes from its flag, else the config file, else its default
+    (the regime preset's for the system parameters).
+    """
     ns = _make_parser().parse_args(_join_omega_range(argv))
     if ns.mode_pos and ns.mode_flag and ns.mode_pos != ns.mode_flag:
         raise ConfigParse(f"mode given twice: {ns.mode_pos!r} and "
                           f"{ns.mode_flag!r}")
+    ns.mode = ns.mode_flag or ns.mode_pos
     entries = parse_config_file(ns.config) if ns.config else {}
-    mode = ns.mode_flag or ns.mode_pos or entries.get("mode")
+
+    def pick(key: str, default=None):
+        flag = getattr(ns, key, None)
+        return flag if flag is not None else entries.get(key, default)
+
+    mode = pick("mode")
     if mode is None:
         raise ConfigParse("mode is required (positional or --mode)")
-
-    regime = ns.regime if ns.regime is not None else entries.get("regime")
-    if regime not in (None, 1, 2):
-        raise ConfigParse("regime must be 1 or 2")
-    base = REGIME_PRESETS[regime if regime is not None else 1]
-    values = {key: getattr(base, key) for key in _PARAM_KEYS}
-    for key in _PARAM_KEYS:
-        if regime is None and key in entries:
-            values[key] = entries[key]
-    if ns.epsilon is not None:
-        values["epsilon"] = ns.epsilon
-    # With an explicit regime the preset is authoritative except for the
-    # epsilon flag, keeping --regime an exact encoding of each parameter set.
+    regime = pick("regime")
+    # A regime means exactly its parameter set; only the pump may be changed.
     if regime is not None:
         for key in _PARAM_KEYS:
             if key != "epsilon" and key in entries:
                 raise ConfigParse(f"config key {key} conflicts with --regime")
-        if "epsilon" in entries and ns.epsilon is None:
-            values["epsilon"] = entries["epsilon"]
+    # Without a regime the rates default to preset 1; RunConfig rejects a
+    # regime that has no preset.
+    base = REGIME_PRESETS.get(regime, REGIME_PRESETS[1])
 
-    omega_min = entries.get("omega_min", -20.0)
-    omega_max = entries.get("omega_max", 20.0)
-    omega_steps = entries.get("omega_steps", 801)
     if ns.omega_range is not None:
         fields = ns.omega_range.split(":")
         if len(fields) != 3:
             raise ConfigParse("--omega-range expects MIN:MAX:STEPS")
         try:
-            omega_min, omega_max = float(fields[0]), float(fields[1])
-            omega_steps = int(fields[2])
+            for key, text in zip(_GRID_KEYS, fields):
+                setattr(ns, key, _SETTINGS[key][0](text))
         except ValueError as exc:
             raise ConfigParse(f"bad --omega-range: {ns.omega_range!r}") from exc
 
+    settings = {key: pick(key, default)
+                for key, (_, default) in _SETTINGS.items()}
     return RunConfig(
-        params=SystemParams(**values),
-        mode=mode,
-        omega_min=omega_min,
-        omega_max=omega_max,
-        omega_steps=omega_steps,
-        output_path=ns.out if ns.out is not None else entries.get("out", "."),
-        seed=ns.seed if ns.seed is not None else entries.get("seed", 0),
-        dt=ns.dt if ns.dt is not None else entries.get("dt", 1e-3),
-        t_end=ns.t_end if ns.t_end is not None else entries.get("t_end", 50.0),
-        n_traj=(ns.n_traj if ns.n_traj is not None
-                else entries.get("n_traj", 1000)),
-        regime=regime,
-        gnuplot=ns.gnuplot,
-    )
+        params=SystemParams(**{key: pick(key, getattr(base, key))
+                               for key in _PARAM_KEYS}),
+        mode=mode, regime=regime, gnuplot=ns.gnuplot,
+        output_path=settings.pop("out"), **settings)
 
 
 def _fmt(value) -> str:
@@ -255,7 +258,7 @@ def _param_lines(p: SystemParams) -> list[str]:
 
 
 def _write_csv(path: Path, meta: list[str], columns: list[str], rows,
-               footer: list[str] | None = None) -> Path:
+               footer: list[str] | None = None) -> tuple[Path, list[str]]:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"# harmoniccascade {__version__}\n")
@@ -269,13 +272,11 @@ def _write_csv(path: Path, meta: list[str], columns: list[str], rows,
                 fh.write(f"# {line}\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-    return path
+    return path, list(columns)
 
 
 def _grid_meta(config: RunConfig) -> list[str]:
-    return [f"omega_min = {_fmt(config.omega_min)}",
-            f"omega_max = {_fmt(config.omega_max)}",
-            f"omega_steps = {config.omega_steps}"]
+    return [f"{key} = {_fmt(getattr(config, key))}" for key in _GRID_KEYS]
 
 
 def _spectra_for(p: SystemParams, config: RunConfig):
@@ -284,7 +285,43 @@ def _spectra_for(p: SystemParams, config: RunConfig):
     return spectrum_grid(p, dd, config.omega_grid())
 
 
-def _run_steady(config: RunConfig, out: Path) -> list[Path]:
+# correlations.csv columns: name -> (CorrelationReport field, key into it
+# for the dict-valued fields).
+_REPORT_COLUMNS = {
+    "omega": ("omega", None),
+    **{f"{name}_{i}{j}": (field, (i, j)) for i, j in PAIR_ORDER
+       for name, field in (("v", "v_pair"), ("gain", "gains"))},
+    **{f"v_{i}{j}{k}": ("v_triple", (i, j, k)) for i, j, k in TRIPLE_ORDER},
+    **{f"obr_{i}{j}{k}": ("obr", (i, j, k)) for i, j, k in OBR_ORDER},
+    "sum_v_pair": ("sum_v_pair", None),
+    "sum_obr": ("sum_obr", None),
+}
+# figures files: name stem -> (regimes that write it, columns after omega).
+_FIGURE_FILES = {
+    "vij": ((2,), [f"v_{i}{j}" for i, j in PAIR_ORDER]),
+    "vijk": ((2,), [f"v_{i}{j}{k}" for i, j, k in TRIPLE_ORDER]),
+    "obr": ((1, 2), [f"obr_{i}{j}{k}" for i, j, k in OBR_ORDER] + ["sum_obr"]),
+}
+# stochastic.csv moments per sample time: (name, EnsembleMoments field,
+# index into that field at one time).
+_MOMENTS = (
+    [(f"mean_a{i}{suffix}", "means", (2 * i - 2 + plus,))
+     for i in (1, 2, 3) for plus, suffix in ((0, ""), (1, "p"))]
+    + [(f"n_{i}{j}", "second_doubled", (2 * i - 1, 2 * j - 2))
+       for i in (1, 2, 3) for j in (1, 2, 3)]
+    + [(f"anom_{i}{j}", "second_doubled", (2 * i - 2, 2 * j - 2))
+       for i in (1, 2, 3) for j in range(i, 4)]
+)
+
+
+def _report_rows(reports, columns) -> list[list[float]]:
+    def value(report, field, key):
+        got = getattr(report, field)
+        return got if key is None else got[key]
+    return [[value(r, *_REPORT_COLUMNS[c]) for c in columns] for r in reports]
+
+
+def _run_steady(config: RunConfig, out: Path):
     ss = require_steady_state(config.params)
     v = ss.state.doubled()
     columns = ["alpha1_re", "alpha1_im", "alpha2_re", "alpha2_im",
@@ -295,7 +332,7 @@ def _run_steady(config: RunConfig, out: Path) -> list[Path]:
     return [_write_csv(out / "steady.csv", meta, columns, [row])]
 
 
-def _run_spectra(config: RunConfig, out: Path) -> list[Path]:
+def _run_spectra(config: RunConfig, out: Path):
     spectra = _spectra_for(config.params, config)
     columns = ["omega", "vx1", "vy1", "vx2", "vy2", "vx3", "vy3"]
     rows = [[s.omega] + [s.s_quad.variance(q, m) for m in (1, 2, 3)
@@ -306,63 +343,24 @@ def _run_spectra(config: RunConfig, out: Path) -> list[Path]:
     return [_write_csv(out / "spectra.csv", meta, columns, rows)]
 
 
-def _correlation_row(report) -> list[float]:
-    row = [report.omega]
-    for pair in PAIR_ORDER:
-        row += [report.v_pair[pair], report.gains[pair]]
-    row += [report.v_triple[t] for t in TRIPLE_ORDER]
-    row += [report.obr[t] for t in OBR_ORDER]
-    row += [report.sum_v_pair, report.sum_obr]
-    return row
-
-
-_CORRELATION_COLUMNS = (
-    ["omega"]
-    + [name for i, j in PAIR_ORDER for name in (f"v_{i}{j}", f"gain_{i}{j}")]
-    + [f"v_{i}{j}{k}" for i, j, k in TRIPLE_ORDER]
-    + [f"obr_{i}{j}{k}" for i, j, k in OBR_ORDER]
-    + ["sum_v_pair", "sum_obr"]
-)
-
-
-def _run_correlations(config: RunConfig, out: Path) -> list[Path]:
+def _run_correlations(config: RunConfig, out: Path):
     reports = evaluate_grid(_spectra_for(config.params, config))
-    rows = [_correlation_row(r) for r in reports]
     meta = (["mode = correlations"] + _param_lines(config.params)
             + _grid_meta(config))
-    return [_write_csv(out / "correlations.csv", meta, _CORRELATION_COLUMNS,
-                       rows)]
+    return [_write_csv(out / "correlations.csv", meta, list(_REPORT_COLUMNS),
+                       _report_rows(reports, _REPORT_COLUMNS))]
 
 
-def _run_stochastic(config: RunConfig, out: Path) -> list[Path]:
+def _run_stochastic(config: RunConfig, out: Path):
     m = run_ensemble(config.params, dt=config.dt, t_end=config.t_end,
                      n_traj=config.n_traj, seed=config.seed, strict=False)
-    columns = ["time", "moment", "real", "imag", "stderr"]
-    names = ["mean_a1", "mean_a1p", "mean_a2", "mean_a2p", "mean_a3",
-             "mean_a3p"]
     rows = []
     for t_index, t in enumerate(m.t_grid):
-        for slot, name in enumerate(names):
-            val = m.means[t_index, slot]
-            se = m.means_stderr[t_index, slot]
+        for name, field, index in _MOMENTS:
+            val = getattr(m, field)[t_index][index]
+            se = getattr(m, f"{field}_stderr")[t_index][index]
             rows.append([t, name, val.real, val.imag,
                          np.hypot(se.real, se.imag)])
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                val = m.second_doubled[t_index, 2 * (i - 1) + 1, 2 * (j - 1)]
-                se = m.second_doubled_stderr[t_index, 2 * (i - 1) + 1,
-                                             2 * (j - 1)]
-                rows.append([t, f"n_{i}{j}", val.real, val.imag,
-                             np.hypot(se.real, se.imag)])
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                if j < i:
-                    continue
-                val = m.second_doubled[t_index, 2 * (i - 1), 2 * (j - 1)]
-                se = m.second_doubled_stderr[t_index, 2 * (i - 1),
-                                             2 * (j - 1)]
-                rows.append([t, f"anom_{i}{j}", val.real, val.imag,
-                             np.hypot(se.real, se.imag)])
     meta = (["mode = stochastic"] + _param_lines(config.params)
             + [f"seed = {config.seed}", f"dt = {_fmt(config.dt)}",
                f"t_end = {_fmt(config.t_end)}", f"n_traj = {config.n_traj}",
@@ -371,10 +369,11 @@ def _run_stochastic(config: RunConfig, out: Path) -> list[Path]:
     footer = [f"divergent = {m.divergent} of {m.n_traj}"]
     if not m.reliable:
         footer.append("unreliable: divergence budget exceeded")
+    columns = ["time", "moment", "real", "imag", "stderr"]
     return [_write_csv(out / "stochastic.csv", meta, columns, rows, footer)]
 
 
-def _run_threshold(config: RunConfig, out: Path) -> list[Path]:
+def _run_threshold(config: RunConfig, out: Path):
     result = pulsing_threshold(config.params, _THRESHOLD_RANGE)
     columns = ["epsilon", "min_real_eigenvalue"]
     rows = list(zip(result.scan_eps, result.scan_stability))
@@ -387,30 +386,19 @@ def _run_threshold(config: RunConfig, out: Path) -> list[Path]:
     return [_write_csv(out / "threshold.csv", meta, columns, rows, footer)]
 
 
-def _run_figures(config: RunConfig, out: Path) -> list[Path]:
+def _run_figures(config: RunConfig, out: Path):
     regimes = (config.regime,) if config.regime is not None else (1, 2)
-    written: list[Path] = []
+    written = []
     for regime in regimes:
         p = REGIME_PRESETS[regime]
         reports = evaluate_grid(_spectra_for(p, config))
         meta = [f"regime = {regime}"] + _param_lines(p) + _grid_meta(config)
-        obr_rows = [[r.omega] + [r.obr[t] for t in OBR_ORDER] + [r.sum_obr]
-                    for r in reports]
-        obr_cols = (["omega"] + [f"obr_{i}{j}{k}" for i, j, k in OBR_ORDER]
-                    + ["sum_obr"])
-        if regime == 2:
-            written.append(_write_csv(
-                out / "vij_regime2.csv", meta,
-                ["omega"] + [f"v_{i}{j}" for i, j in PAIR_ORDER],
-                [[r.omega] + [r.v_pair[pr] for pr in PAIR_ORDER]
-                 for r in reports]))
-            written.append(_write_csv(
-                out / "vijk_regime2.csv", meta,
-                ["omega"] + [f"v_{i}{j}{k}" for i, j, k in TRIPLE_ORDER],
-                [[r.omega] + [r.v_triple[t] for t in TRIPLE_ORDER]
-                 for r in reports]))
-        written.append(_write_csv(out / f"obr_regime{regime}.csv", meta,
-                                  obr_cols, obr_rows))
+        for stem, (file_regimes, names) in _FIGURE_FILES.items():
+            if regime in file_regimes:
+                columns = ["omega"] + names
+                written.append(_write_csv(
+                    out / f"{stem}_regime{regime}.csv", meta, columns,
+                    _report_rows(reports, columns)))
     return written
 
 
@@ -423,15 +411,14 @@ _RUNNERS = {
     "figures": _run_figures,
 }
 
+# Exit code of each error main reports instead of raising.
+_EXIT_CODES = {ConfigParse: 2, NotStationary: 3, IoError: 4,
+               NoThresholdInRange: 5, ExcessiveDivergence: 5}
 
-def _write_gnuplot(paths: list[Path], out: Path) -> Path:
+
+def _write_gnuplot(written: list[tuple[Path, list[str]]], out: Path) -> Path:
     lines = ["set datafile separator ','", "set key outside", ""]
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.startswith("#"):
-                    columns = line.rstrip("\n").split(",")
-                    break
+    for path, columns in written:
         plot = ", ".join(
             f"'{path.name}' using 1:{idx + 2} with lines title "
             f"'{name}'" for idx, name in enumerate(columns[1:]))
@@ -451,26 +438,23 @@ def run(config: RunConfig) -> list[Path]:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out}: {exc}") from exc
-    paths = _RUNNERS[config.mode](config, out)
+    written = _RUNNERS[config.mode](config, out)
+    paths = [path for path, _ in written]
     if config.gnuplot and config.mode != "stochastic":
-        paths.append(_write_gnuplot(paths, out))
+        paths.append(_write_gnuplot(written, out))
     return paths
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command line; return 0, or an error's exit code after
+    printing ``error: ...`` (2 configuration, 3 no stationary state,
+    4 unwritable output, 5 no threshold in range or every trajectory
+    diverged)."""
     try:
-        config = build_config(sys.argv[1:] if argv is None else argv)
-    except ConfigParse as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        for path in run(config):
+        for path in run(build_config(sys.argv[1:] if argv is None else argv)):
             print(path)
-    except NotStationary as exc:
-        # The message names the self-pulsing regime explicitly.
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES.items()
+                    if isinstance(exc, cls))
     return 0

@@ -13,9 +13,8 @@ families are evaluated:
     the joint quadratures of modes j and k (below 1: modes j,k steer mode i;
     He-Reid sum below 1: genuine tripartite steering).
 
-The inferred variances use the plus-sign combinations X_j + X_k and
-Y_j + Y_k by default; the minus-sign variant is available but excluded from
-reports.
+The inferred variances condition on the sum quadratures X_j + X_k and
+Y_j + Y_k.
 """
 
 from __future__ import annotations
@@ -102,27 +101,24 @@ def vlf_triple(S: QuadCovariance, i: int, j: int, k: int) -> float:
     return float(vx + vy)
 
 
-def obr_inferred(S: QuadCovariance, i: int, j: int, k: int,
-                 sign: int = +1) -> tuple[float, float]:
+def obr_inferred(S: QuadCovariance, i: int, j: int,
+                 k: int) -> tuple[float, float]:
     """Inferred variances of mode i given the joint sum of modes j and k.
 
     V_inf(X_i) = V(X_i) - V(X_i, X_j + X_k)^2 / V(X_j + X_k) and likewise
     for Y: the variance left after the optimal linear estimate from the sum
-    quadrature.  Never exceeds the unconditional variance.  sign=-1 switches
-    to the difference combinations (not used in default reports).
+    quadrature.  Never exceeds the unconditional variance.
     """
     _check_perm(i, j, k)
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
     V = S.matrix
     out = []
     for index_of in (quad_index_x, quad_index_y):
         qi, qj, qk = index_of(i), index_of(j), index_of(k)
-        den = V[qj, qj] + V[qk, qk] + 2.0 * sign * V[qj, qk]
+        den = V[qj, qj] + V[qk, qk] + 2.0 * V[qj, qk]
         if den < _DEGENERATE_TOL:
             raise DegenerateVariance(
                 f"combined variance {den:.3e} for modes ({j},{k}); cannot infer")
-        cov = V[qi, qj] + sign * V[qi, qk]
+        cov = V[qi, qj] + V[qi, qk]
         out.append(float(V[qi, qi] - cov * cov / den))
     return out[0], out[1]
 
@@ -207,12 +203,8 @@ def evaluate_report(S: QuadCovariance) -> CorrelationReport:
 
 
 def evaluate_grid(spectra) -> list[CorrelationReport]:
-    """Reports over a grid of spectra (QuadCovariance or SpectrumResult)."""
-    out = []
-    for item in spectra:
-        S = getattr(item, "s_quad", item)
-        out.append(evaluate_report(S))
-    return out
+    """Reports over a grid of SpectrumResult items, one per frequency."""
+    return [evaluate_report(item.s_quad) for item in spectra]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from .model import FieldState, NonHermitianResidue, QuadCovariance, SystemParams
+from .model import (FieldState, NonHermitianResidue, QuadCovariance,
+                    SystemParams, noise_variances)
 
 __all__ = [
     "DriftDiffusion",
@@ -67,7 +68,8 @@ def default_omega_grid() -> np.ndarray:
 def build_drift(p: SystemParams, ss: FieldState) -> np.ndarray:
     """Drift matrix A at a steady state (interleaved doubled basis).
 
-    Equals the negated Jacobian of the deterministic doubled drift; the
+    Equals the negated Jacobian of model.doubled_drift, written out by hand
+    (the tests check it against finite differences of that function); the
     diagonal carries the bare loss rates and every off-diagonal entry is a
     coupling rate times a steady-state amplitude.
     """
@@ -91,11 +93,8 @@ def build_diffusion(p: SystemParams, ss: FieldState) -> np.ndarray:
     Entries are the squared noise coefficients of the stochastic equations;
     negative diagonal entries are legitimate in the doubled phase space.
     """
-    a2, a3 = ss.alpha[1], ss.alpha[2]
-    b2, b3 = ss.alpha_plus[1], ss.alpha_plus[2]
     return np.diag(np.array(
-        [p.kappa1 * a2, p.kappa1 * b2, p.kappa2 * a3, p.kappa2 * b3, 0, 0],
-        dtype=complex))
+        [*noise_variances(ss.alpha, ss.alpha_plus, p), 0, 0], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,11 @@ def output_quad_spectrum(p: SystemParams, A: np.ndarray, D: np.ndarray,
     must be real; residual imaginary parts above tolerance signal an
     upstream bug and raise NonHermitianResidue.
     """
-    S = intracavity_spectrum(A, D, omega)
+    return _output_from_intracavity(p, intracavity_spectrum(A, D, omega), omega)
+
+
+def _output_from_intracavity(p: SystemParams, S: np.ndarray,
+                             omega: float) -> QuadCovariance:
     Sq = _QUAD_MAP @ S @ _QUAD_MAP.T
     M = Sq + Sq.T
     imag_max = float(np.abs(M.imag).max())
@@ -182,8 +185,8 @@ class SpectrumResult:
 def compute_spectrum(p: SystemParams, dd: DriftDiffusion,
                      omega: float) -> SpectrumResult:
     s_alpha = intracavity_spectrum(dd.a_matrix, dd.d_matrix, omega)
-    s_quad = output_quad_spectrum(p, dd.a_matrix, dd.d_matrix, omega)
-    return SpectrumResult(omega=float(omega), s_alpha=s_alpha, s_quad=s_quad)
+    return SpectrumResult(omega=float(omega), s_alpha=s_alpha,
+                          s_quad=_output_from_intracavity(p, s_alpha, omega))
 
 
 def spectrum_grid(p: SystemParams, dd: DriftDiffusion,

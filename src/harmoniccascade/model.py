@@ -23,6 +23,8 @@ __all__ = [
     "NonPositiveRate",
     "NonHermitianResidue",
     "validate_params",
+    "doubled_drift",
+    "noise_variances",
     "quad_index_x",
     "quad_index_y",
 ]
@@ -95,6 +97,36 @@ def validate_params(p: SystemParams, allow_rescale: bool = False) -> SystemParam
                     epsilon=p.epsilon / g, gamma1=1.0,
                     gamma2=p.gamma2 / g, gamma3=p.gamma3 / g)
     return p
+
+
+def doubled_drift(a, b, p: SystemParams) -> tuple:
+    """Deterministic right-hand sides of the doubled-phase-space equations.
+
+    a and b are the plain and plus amplitudes of modes 1..3, each either a
+    triple of complex scalars or a (3, n) array whose rows hold a batch of
+    trajectories.  Returns (f1, f2, f3, g1, g2, g3), the drifts of a1..a3
+    and b1..b3.  This is the one definition of the equations of motion: the
+    ODE, the root-finder and the stochastic ensemble all integrate it.
+    """
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    k1, k2 = p.kappa1, p.kappa2
+    e = complex(p.epsilon)
+    return (e - p.gamma1 * a1 + k1 * b1 * a2,
+            -p.gamma2 * a2 + k2 * b2 * a3 - 0.5 * k1 * a1 * a1,
+            -p.gamma3 * a3 - 0.5 * k2 * a2 * a2,
+            e.conjugate() - p.gamma1 * b1 + k1 * a1 * b2,
+            -p.gamma2 * b2 + k2 * a2 * b3 - 0.5 * k1 * b1 * b1,
+            -p.gamma3 * b3 - 0.5 * k2 * b2 * b2)
+
+
+def noise_variances(a, b, p: SystemParams) -> tuple:
+    """Squared noise coefficients on (a1, b1, a2, b2); mode 3 is noiseless.
+
+    Takes a and b as doubled_drift does.  These are the diagonal of the
+    diffusion matrix; they may be negative or complex in the doubled space.
+    """
+    return p.kappa1 * a[1], p.kappa1 * b[1], p.kappa2 * a[2], p.kappa2 * b[2]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -10,13 +10,13 @@ above the instability, where integration cannot converge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import root
 
-from .model import FieldState, SystemParams, validate_params
+from .model import FieldState, SystemParams, doubled_drift, validate_params
 
 __all__ = [
     "SteadyStateResult",
@@ -101,28 +101,17 @@ def semiclassical_derivative(s: FieldState, p: SystemParams) -> FieldState:
     their own equations); on the manifold the plus drift is the conjugate of
     the plain drift, so classical states stay classical.
     """
-    a1, a2, a3 = s.alpha
-    b1, b2, b3 = s.alpha_plus
-    k1, k2 = p.kappa1, p.kappa2
-    e = complex(p.epsilon)
-    f1 = e - p.gamma1 * a1 + k1 * b1 * a2
-    g1 = np.conj(e) - p.gamma1 * b1 + k1 * a1 * b2
-    f2 = -p.gamma2 * a2 + k2 * b2 * a3 - 0.5 * k1 * a1 * a1
-    g2 = -p.gamma2 * b2 + k2 * a2 * b3 - 0.5 * k1 * b1 * b1
-    f3 = -p.gamma3 * a3 - 0.5 * k2 * a2 * a2
-    g3 = -p.gamma3 * b3 - 0.5 * k2 * b2 * b2
-    return FieldState(alpha=[f1, f2, f3], alpha_plus=[g1, g2, g3])
+    f = doubled_drift(s.alpha, s.alpha_plus, p)
+    return FieldState(alpha=f[:3], alpha_plus=f[3:])
 
 
 def _classical_rhs(t, y, p: SystemParams):
     # y holds (re a1, im a1, re a2, im a2, re a3, im a3); stiff scipy methods
     # need real vectors, so the three complex equations are unpacked here.
-    a1 = y[0] + 1j * y[1]
-    a2 = y[2] + 1j * y[3]
-    a3 = y[4] + 1j * y[5]
-    f1 = p.epsilon - p.gamma1 * a1 + p.kappa1 * np.conj(a1) * a2
-    f2 = -p.gamma2 * a2 + p.kappa2 * np.conj(a2) * a3 - 0.5 * p.kappa1 * a1 * a1
-    f3 = -p.gamma3 * a3 - 0.5 * p.kappa2 * a2 * a2
+    # Plain Python scalars make each call about twice as fast as numpy ones.
+    r1, i1, r2, i2, r3, i3 = y.tolist()
+    a = (complex(r1, i1), complex(r2, i2), complex(r3, i3))
+    f1, f2, f3 = doubled_drift(a, [z.conjugate() for z in a], p)[:3]
     return [f1.real, f1.imag, f2.real, f2.imag, f3.real, f3.imag]
 
 
@@ -283,8 +272,7 @@ def pulsing_threshold(p: SystemParams, eps_range: tuple[float, float],
         raise ValueError("eps_range must be increasing and n_steps >= 2")
 
     def stability(eps: float, seed: FieldState | None) -> tuple[float, FieldState]:
-        q = SystemParams(kappa1=p.kappa1, kappa2=p.kappa2, epsilon=eps,
-                         gamma1=p.gamma1, gamma2=p.gamma2, gamma3=p.gamma3)
+        q = replace(p, epsilon=eps)
         ss = algebraic_steady_state(q, guess=seed)
         ev = np.linalg.eigvals(build_drift(q, ss))
         return float(ev.real.min()), ss

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FieldState, SystemParams, validate_params
+from .model import (FieldState, SystemParams, doubled_drift,
+                    noise_variances, validate_params)
 
 __all__ = [
     "EnsembleMoments",
@@ -54,33 +55,17 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _drift_arrays(a: np.ndarray, b: np.ndarray, p: SystemParams):
-    # a, b have shape (3, n): the plain and plus amplitudes of each column.
-    f = np.empty_like(a)
-    g = np.empty_like(b)
-    e = complex(p.epsilon)
-    f[0] = e - p.gamma1 * a[0] + p.kappa1 * b[0] * a[1]
-    g[0] = np.conj(e) - p.gamma1 * b[0] + p.kappa1 * a[0] * b[1]
-    f[1] = -p.gamma2 * a[1] + p.kappa2 * b[1] * a[2] - 0.5 * p.kappa1 * a[0] * a[0]
-    g[1] = -p.gamma2 * b[1] + p.kappa2 * a[1] * b[2] - 0.5 * p.kappa1 * b[0] * b[0]
-    f[2] = -p.gamma3 * a[2] - 0.5 * p.kappa2 * a[1] * a[1]
-    g[2] = -p.gamma3 * b[2] - 0.5 * p.kappa2 * b[1] * b[1]
-    return f, g
-
-
 def _apply_step(a: np.ndarray, b: np.ndarray, p: SystemParams, dt: float,
                 noise: np.ndarray) -> None:
-    # In-place Euler-Maruyama update; noise coefficients use the pre-step
-    # state (Ito reading, which the equations' form makes equivalent to
-    # Stratonovich for the moments of interest).
-    f, g = _drift_arrays(a, b, p)
+    # In-place Euler-Maruyama update of (3, n) arrays; noise coefficients use
+    # the pre-step state (Ito reading, which the equations' form makes
+    # equivalent to Stratonovich for the moments of interest).
     sdt = np.sqrt(dt)
-    na1 = np.sqrt(p.kappa1 * a[1]) * (sdt * noise[0])
-    nb1 = np.sqrt(p.kappa1 * b[1]) * (sdt * noise[1])
-    na2 = np.sqrt(p.kappa2 * a[2]) * (sdt * noise[2])
-    nb2 = np.sqrt(p.kappa2 * b[2]) * (sdt * noise[3])
-    a += dt * f
-    b += dt * g
+    na1, nb1, na2, nb2 = [np.sqrt(v) * (sdt * w)
+                          for v, w in zip(noise_variances(a, b, p), noise)]
+    for row, drift in zip((*a, *b), doubled_drift(a, b, p)):
+        drift *= dt
+        row += drift
     a[0] += na1
     b[0] += nb1
     a[1] += na2

@@ -1,5 +1,9 @@
 """Command-line interface tests: config resolution, artifacts, exit codes."""
 
+import gzip
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -77,6 +81,11 @@ def test_grid_always_contains_zero_when_straddling():
     one_sided = RunConfig(params=REGIME_PRESETS[1], mode="spectra",
                           omega_min=1.0, omega_max=5.0, omega_steps=9)
     assert not np.any(one_sided.omega_grid() == 0.0)
+    # Only interior points snap: the endpoints stay as requested.
+    for spec, expected in (("-1:1:2", [-1.0, 1.0]),
+                           ("-1:3:3", [-1.0, 0.0, 3.0])):
+        grid = build_config(["spectra", "--omega-range", spec]).omega_grid()
+        assert grid.tolist() == expected
 
 
 def test_invalid_settings_rejected():
@@ -236,3 +245,58 @@ def test_nested_output_directory_created(tmp_path):
     nested = tmp_path / "deep" / "er"
     assert main(["steady", "--epsilon", "0", "--out", str(nested)]) == 0
     assert (nested / "steady.csv").exists()
+
+
+def test_no_threshold_in_range_exit_code(tmp_path, capsys):
+    cfg_file = tmp_path / "weak.cfg"
+    cfg_file.write_text("kappa1 = 1e-6\nkappa2 = 2e-2\nepsilon = 105\n"
+                        "gamma2 = 0.5\ngamma3 = 0.5\n", encoding="utf-8")
+    code = main(["threshold", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "out")])
+    assert code == 5
+    assert "error: stable throughout" in capsys.readouterr().err
+
+
+def test_total_divergence_exit_code(tmp_path, capsys):
+    code = main(["stochastic", "--regime", "1", "--dt", "2", "--t-end", "40",
+                 "--n-traj", "5", "--out", str(tmp_path)])
+    assert code == 5
+    assert "error: all trajectories diverged" in capsys.readouterr().err
+
+
+_REFERENCES = (Path(__file__).resolve().parents[1]
+               / "perfbench" / "reference" / "cli")
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+@pytest.mark.parametrize("mode", ["steady", "spectra", "correlations",
+                                  "threshold", "figures"])
+def test_deterministic_modes_match_references(mode, tmp_path):
+    """Every deterministic mode reproduces its stored artifacts.
+
+    Arguments are those the references were made with (regime 1, figures
+    for both regimes).  Text outside numbers must match exactly; each number
+    may differ by 1e-9 relative to itself plus 1e-12 of the largest
+    magnitude on its line, so roundoff-level values (imaginary parts of a
+    real state) need not match digit for digit.
+    """
+    args = [mode, "--out", str(tmp_path)]
+    if mode != "figures":
+        args += ["--regime", "1"]
+    assert main(args) == 0
+    # Reference files are named <mode>__<artifact>.csv.gz.
+    refs = {ref.name[len(mode) + 2:-3]: ref
+            for ref in _REFERENCES.glob(f"{mode}__*.csv.gz")}
+    assert refs
+    assert {p.name for p in tmp_path.iterdir()} == set(refs)
+    for name, ref in refs.items():
+        want = gzip.decompress(ref.read_bytes()).decode("utf-8").splitlines()
+        got = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+        assert len(got) == len(want), name
+        for line, expected in zip(got, want):
+            assert _NUMBER.sub("#", line) == _NUMBER.sub("#", expected)
+            g = np.array([float(x) for x in _NUMBER.findall(line)])
+            e = np.array([float(x) for x in _NUMBER.findall(expected)])
+            if e.size:
+                tol = 1e-9 * np.abs(e) + 1e-12 * np.abs(e).max()
+                assert np.all(np.abs(g - e) <= tol), (name, line)
