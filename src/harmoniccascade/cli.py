@@ -109,6 +109,8 @@ class RunConfig:
             raise ConfigParse("dt and t_end must be positive")
         if self.n_traj < 1:
             raise ConfigParse("n_traj must be at least 1")
+        if self.gnuplot and self.mode == "stochastic":
+            raise ConfigParse("--gnuplot has no plot for stochastic mode")
         try:
             validate_params(self.params)
         except NonPositiveRate as exc:
@@ -216,6 +218,10 @@ def build_config(argv: list[str]) -> RunConfig:
     mode = pick("mode")
     if mode is None:
         raise ConfigParse("mode is required (positional or --mode)")
+    if mode == "figures" and (ns.epsilon is not None
+                              or not entries.keys().isdisjoint(_PARAM_KEYS)):
+        raise ConfigParse("figures mode uses the regime presets; it takes "
+                          "no --epsilon and no parameter keys")
     regime = pick("regime")
     # A regime means exactly its parameter set; only the pump may be changed.
     if regime is not None:
@@ -286,7 +292,7 @@ def _spectra_for(p: SystemParams, config: RunConfig):
 
 
 # correlations.csv columns: name -> (CorrelationReport field, key into it
-# for the dict-valued fields).
+# for the dict-valued fields); each column is an array over omega.
 _REPORT_COLUMNS = {
     "omega": ("omega", None),
     **{f"{name}_{i}{j}": (field, (i, j)) for i, j in PAIR_ORDER
@@ -314,11 +320,11 @@ _MOMENTS = (
 )
 
 
-def _report_rows(reports, columns) -> list[list[float]]:
-    def value(report, field, key):
+def _report_rows(report, columns):
+    def column(field, key):
         got = getattr(report, field)
         return got if key is None else got[key]
-    return [[value(r, *_REPORT_COLUMNS[c]) for c in columns] for r in reports]
+    return zip(*(column(*_REPORT_COLUMNS[c]) for c in columns))
 
 
 def _run_steady(config: RunConfig, out: Path):
@@ -335,20 +341,18 @@ def _run_steady(config: RunConfig, out: Path):
 def _run_spectra(config: RunConfig, out: Path):
     spectra = _spectra_for(config.params, config)
     columns = ["omega", "vx1", "vy1", "vx2", "vy2", "vx3", "vy3"]
-    rows = [[s.omega] + [s.s_quad.variance(q, m) for m in (1, 2, 3)
-                         for q in ("X", "Y")]
-            for s in spectra]
+    rows = [[s.omega, *np.diagonal(s.s_quad.matrix)] for s in spectra]
     meta = (["mode = spectra"] + _param_lines(config.params)
             + _grid_meta(config))
     return [_write_csv(out / "spectra.csv", meta, columns, rows)]
 
 
 def _run_correlations(config: RunConfig, out: Path):
-    reports = evaluate_grid(_spectra_for(config.params, config))
+    report = evaluate_grid(_spectra_for(config.params, config))
     meta = (["mode = correlations"] + _param_lines(config.params)
             + _grid_meta(config))
     return [_write_csv(out / "correlations.csv", meta, list(_REPORT_COLUMNS),
-                       _report_rows(reports, _REPORT_COLUMNS))]
+                       _report_rows(report, _REPORT_COLUMNS))]
 
 
 def _run_stochastic(config: RunConfig, out: Path):
@@ -391,14 +395,14 @@ def _run_figures(config: RunConfig, out: Path):
     written = []
     for regime in regimes:
         p = REGIME_PRESETS[regime]
-        reports = evaluate_grid(_spectra_for(p, config))
+        report = evaluate_grid(_spectra_for(p, config))
         meta = [f"regime = {regime}"] + _param_lines(p) + _grid_meta(config)
         for stem, (file_regimes, names) in _FIGURE_FILES.items():
             if regime in file_regimes:
                 columns = ["omega"] + names
                 written.append(_write_csv(
                     out / f"{stem}_regime{regime}.csv", meta, columns,
-                    _report_rows(reports, columns)))
+                    _report_rows(report, columns)))
     return written
 
 
@@ -440,7 +444,7 @@ def run(config: RunConfig) -> list[Path]:
         raise IoError(f"cannot create output directory {out}: {exc}") from exc
     written = _RUNNERS[config.mode](config, out)
     paths = [path for path, _ in written]
-    if config.gnuplot and config.mode != "stochastic":
+    if config.gnuplot:
         paths.append(_write_gnuplot(written, out))
     return paths
 

@@ -1,8 +1,10 @@
 """Tripartite inseparability, entanglement, and steering criteria.
 
-All quantities are bilinear forms on one 6x6 output quadrature covariance,
-with zero-mean fluctuations so V(A, B) is the matrix entry itself.  Three
-families are evaluated:
+All quantities are bilinear forms on one 6x6 output quadrature covariance
+or an (n, 6, 6) stack, with zero-mean fluctuations so V(A, B) is the matrix
+entry itself.  Formulas read the transpose, whose V[a, b] is that entry of
+every matrix (all are symmetric), so they give arrays over omega for a stack.
+Three families are evaluated:
 
   * pairwise correlations V_ij with an optimized gain on the third mode
     (threshold 4; Teh-Reid sharpenings: sum < 8 entangled, sum < 4 genuine
@@ -69,18 +71,18 @@ def vlf_pair(S: QuadCovariance, i: int, j: int, k: int,
     explicit gain to evaluate off-optimum.  Returns (V_ij, gain used).
     """
     _check_perm(i, j, k)
-    V = S.matrix
+    V = S.matrix.T
     xi, xj = quad_index_x(i), quad_index_x(j)
     yi, yj, yk = quad_index_y(i), quad_index_y(j), quad_index_y(k)
     vx = V[xi, xi] + V[xj, xj] - 2.0 * V[xi, xj]
     if gain is None:
-        if V[yk, yk] < _DEGENERATE_TOL:
+        if np.any(V[yk, yk] < _DEGENERATE_TOL):
             raise DegenerateVariance(
-                f"V(Y_{k}) = {V[yk, yk]:.3e}; cannot optimize gain")
+                f"V(Y_{k}) = {np.min(V[yk, yk]):.3e}; cannot optimize gain")
         gain = -(V[yk, yi] + V[yk, yj]) / V[yk, yk]
     vy = (V[yi, yi] + V[yj, yj] + gain * gain * V[yk, yk]
           + 2.0 * V[yi, yj] + 2.0 * gain * V[yk, yi] + 2.0 * gain * V[yk, yj])
-    return float(vx + vy), float(gain)
+    return vx + vy, gain
 
 
 def vlf_triple(S: QuadCovariance, i: int, j: int, k: int) -> float:
@@ -90,7 +92,7 @@ def vlf_triple(S: QuadCovariance, i: int, j: int, k: int) -> float:
     symmetric under j <-> k, no free gains.
     """
     _check_perm(i, j, k)
-    V = S.matrix
+    V = S.matrix.T
     xi, xj, xk = quad_index_x(i), quad_index_x(j), quad_index_x(k)
     yi, yj, yk = quad_index_y(i), quad_index_y(j), quad_index_y(k)
     r = np.sqrt(2.0)
@@ -98,7 +100,7 @@ def vlf_triple(S: QuadCovariance, i: int, j: int, k: int) -> float:
           - r * (V[xi, xj] + V[xi, xk]))
     vy = (V[yi, yi] + 0.5 * (V[yj, yj] + V[yk, yk] + 2.0 * V[yj, yk])
           + r * (V[yi, yj] + V[yi, yk]))
-    return float(vx + vy)
+    return vx + vy
 
 
 def obr_inferred(S: QuadCovariance, i: int, j: int,
@@ -110,16 +112,16 @@ def obr_inferred(S: QuadCovariance, i: int, j: int,
     quadrature.  Never exceeds the unconditional variance.
     """
     _check_perm(i, j, k)
-    V = S.matrix
+    V = S.matrix.T
     out = []
     for index_of in (quad_index_x, quad_index_y):
         qi, qj, qk = index_of(i), index_of(j), index_of(k)
         den = V[qj, qj] + V[qk, qk] + 2.0 * V[qj, qk]
-        if den < _DEGENERATE_TOL:
-            raise DegenerateVariance(
-                f"combined variance {den:.3e} for modes ({j},{k}); cannot infer")
+        if np.any(den < _DEGENERATE_TOL):
+            raise DegenerateVariance(f"combined variance {np.min(den):.3e} "
+                                     f"for modes ({j},{k}); cannot infer")
         cov = V[qi, qj] + V[qi, qk]
-        out.append(float(V[qi, qi] - cov * cov / den))
+        out.append(V[qi, qi] - cov * cov / den)
     return out[0], out[1]
 
 
@@ -131,14 +133,15 @@ def obr_product(S: QuadCovariance, i: int, j: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Every criterion evaluated at one analysis frequency.
+    """Every criterion evaluated on one covariance or on a stack of them.
 
     v_pair and gains are keyed by the pair (i, j); v_triple and obr by the
     full index triple.  The flags restate the numeric thresholds and are
-    pure functions of the values.
+    pure functions of the values.  From a stack of covariances each value
+    and flag is an array over omega, and len() counts the frequencies.
     """
 
-    omega: float
+    omega: float | np.ndarray
     v_pair: dict[tuple[int, int], float]
     gains: dict[tuple[int, int], float]
     v_triple: dict[tuple[int, int, int], float]
@@ -156,33 +159,35 @@ class CorrelationReport:
     steer_3_by_12: bool
     genuine_tri_steer: bool          # sum of obr below 1
 
+    def __len__(self) -> int:
+        return int(np.size(self.omega))
 
-def classify(omega: float,
+
+def classify(omega: float | np.ndarray,
              v_pair: dict[tuple[int, int], float],
              gains: dict[tuple[int, int], float],
              v_triple: dict[tuple[int, int, int], float],
              obr: dict[tuple[int, int, int], float]) -> CorrelationReport:
     """Assemble the report and set every threshold flag.
 
-    All inputs must have been computed at the same frequency; the grid-level
-    minima are the caller's business.
+    All inputs must have been computed at the same frequency or frequencies;
+    the grid-level minima are the caller's business.
     """
     pair_vals = [v_pair[pq] for pq in PAIR_ORDER]
-    triple_vals = [v_triple[t] for t in TRIPLE_ORDER]
-    obr_vals = [obr[t] for t in OBR_ORDER]
-    sum_pair = float(sum(pair_vals))
-    sum_obr = float(sum(obr_vals))
+    triple = np.array([v_triple[t] for t in TRIPLE_ORDER])
+    sum_pair = sum(pair_vals)
+    sum_obr = sum(obr[t] for t in OBR_ORDER)
     return CorrelationReport(
-        omega=float(omega),
+        omega=omega,
         v_pair=dict(v_pair), gains=dict(gains),
         v_triple=dict(v_triple), obr=dict(obr),
         sum_v_pair=sum_pair, sum_obr=sum_obr,
-        inseparable_pairwise=sum(v < 4.0 for v in pair_vals) >= 2,
-        inseparable_triple=any(v < 4.0 for v in triple_vals),
+        inseparable_pairwise=(np.array(pair_vals) < 4.0).sum(axis=0) >= 2,
+        inseparable_triple=(triple < 4.0).any(axis=0),
         tr_entangled_pairwise=sum_pair < 8.0,
         tr_genuine_steer_pairwise=sum_pair < 4.0,
-        genuine_entangled_triple=any(v < 2.0 for v in triple_vals),
-        genuine_steer_triple=any(v < 1.0 for v in triple_vals),
+        genuine_entangled_triple=(triple < 2.0).any(axis=0),
+        genuine_steer_triple=(triple < 1.0).any(axis=0),
         steer_1_by_23=obr[(1, 2, 3)] < 1.0,
         steer_2_by_13=obr[(2, 1, 3)] < 1.0,
         steer_3_by_12=obr[(3, 1, 2)] < 1.0,
@@ -191,7 +196,7 @@ def classify(omega: float,
 
 
 def evaluate_report(S: QuadCovariance) -> CorrelationReport:
-    """Compute all correlations from one covariance and classify them."""
+    """Compute all correlations from one covariance or a stack; classify."""
     v_pair: dict[tuple[int, int], float] = {}
     gains: dict[tuple[int, int], float] = {}
     for i, j in PAIR_ORDER:
@@ -202,9 +207,11 @@ def evaluate_report(S: QuadCovariance) -> CorrelationReport:
     return classify(S.omega, v_pair, gains, v_triple, obr)
 
 
-def evaluate_grid(spectra) -> list[CorrelationReport]:
-    """Reports over a grid of SpectrumResult items, one per frequency."""
-    return [evaluate_report(item.s_quad) for item in spectra]
+def evaluate_grid(spectra) -> CorrelationReport:
+    """evaluate_report of the stacked s_quad of SpectrumResult items."""
+    return evaluate_report(QuadCovariance(
+        omega=np.array([item.omega for item in spectra]),
+        matrix=np.array([item.s_quad.matrix for item in spectra])))
 
 
 @dataclass(frozen=True)
@@ -218,21 +225,16 @@ class GridSummary:
     min_sum_obr: tuple[float, float]
 
 
-def summarize_grid(reports: list[CorrelationReport]) -> GridSummary:
-    if not reports:
-        raise ValueError("no reports to summarize")
-
-    def min_over(get):
-        vals = [get(r) for r in reports]
-        idx = int(np.argmin(vals))
-        return float(vals[idx]), reports[idx].omega
+def summarize_grid(report: CorrelationReport) -> GridSummary:
+    """Minimum of every value over a grid report; ties go to the first."""
+    def min_over(values):
+        idx = int(np.argmin(values))
+        return float(values[idx]), float(report.omega[idx])
 
     return GridSummary(
-        min_v_pair={pq: min_over(lambda r, pq=pq: r.v_pair[pq])
-                    for pq in PAIR_ORDER},
-        min_v_triple={t: min_over(lambda r, t=t: r.v_triple[t])
-                      for t in TRIPLE_ORDER},
-        min_obr={t: min_over(lambda r, t=t: r.obr[t]) for t in OBR_ORDER},
-        min_sum_v_pair=min_over(lambda r: r.sum_v_pair),
-        min_sum_obr=min_over(lambda r: r.sum_obr),
+        min_v_pair={pq: min_over(report.v_pair[pq]) for pq in PAIR_ORDER},
+        min_v_triple={t: min_over(report.v_triple[t]) for t in TRIPLE_ORDER},
+        min_obr={t: min_over(report.obr[t]) for t in OBR_ORDER},
+        min_sum_v_pair=min_over(report.sum_v_pair),
+        min_sum_obr=min_over(report.sum_obr),
     )

@@ -42,14 +42,8 @@ __all__ = [
 _I6 = np.eye(6)
 
 # Maps the interleaved doubled basis to quadratures (X1, Y1, X2, Y2, X3, Y3):
-# X_i = da_i + da_i+, Y_i = -i (da_i - da_i+).
-_QUAD_MAP = np.zeros((6, 6), dtype=complex)
-for _m in range(3):
-    _QUAD_MAP[2 * _m, 2 * _m] = 1.0
-    _QUAD_MAP[2 * _m, 2 * _m + 1] = 1.0
-    _QUAD_MAP[2 * _m + 1, 2 * _m] = -1.0j
-    _QUAD_MAP[2 * _m + 1, 2 * _m + 1] = 1.0j
-del _m
+# X_i = da_i + da_i+, Y_i = -i (da_i - da_i+), the same block for each mode.
+_QUAD_MAP = np.kron(np.eye(3), [[1, 1], [-1j, 1j]])
 
 # Residual imaginary part allowed in the symmetrized quadrature spectrum.
 _IMAG_TOL = 1e-10
@@ -129,27 +123,31 @@ def stability_eigenvalues(A: np.ndarray) -> np.ndarray:
     return ev[order]
 
 
-def intracavity_spectrum(A: np.ndarray, D: np.ndarray, omega: float) -> np.ndarray:
+def intracavity_spectrum(A: np.ndarray, D: np.ndarray,
+                         omega: float | np.ndarray) -> np.ndarray:
     """S(omega) = (A + i omega)^-1 D (A^T - i omega)^-1 via two linear solves.
 
     A^T is the plain transpose, not the conjugate transpose.  Explicit
-    inversion is avoided; partial-pivoted solves are used instead.
+    inversion is avoided; partial-pivoted solves are used instead.  A scalar
+    omega gives one 6x6 matrix, an array of n frequencies an (n, 6, 6)
+    stack.  One RuntimeWarning names the worst-conditioned frequency when
+    any resolvent has a condition number above 1e12 or a non-finite one.
     """
-    A = np.asarray(A, dtype=complex)
-    D = np.asarray(D, dtype=complex)
-    left = A + 1j * omega * _I6
-    cond = np.linalg.cond(left)
-    if not np.isfinite(cond) or cond > _COND_WARN:
-        warnings.warn(f"ill-conditioned resolvent at omega={omega}: "
-                      f"cond={cond:.3e}", RuntimeWarning, stacklevel=2)
+    w = np.asarray(omega, dtype=float)[..., None, None]
+    left = A + 1j * w * _I6
+    cond = np.linalg.cond(left).reshape(-1)
+    worst = cond.argmax()    # argmax returns a NaN first: worst
+    if not cond[worst] <= _COND_WARN:
+        warnings.warn(f"ill-conditioned resolvent at omega={w.flat[worst]}: "
+                      f"cond={cond[worst]:.3e}", RuntimeWarning, stacklevel=2)
     Y = np.linalg.solve(left, D)
     # S = Y (A^T - i omega)^-1, computed as a solve against the transpose.
-    return np.linalg.solve(A - 1j * omega * _I6, Y.T).T
+    return np.linalg.solve(A - 1j * w * _I6, Y.mT).mT
 
 
 def output_quad_spectrum(p: SystemParams, A: np.ndarray, D: np.ndarray,
-                         omega: float) -> QuadCovariance:
-    """Output quadrature spectral covariance at one frequency.
+                         omega: float | np.ndarray) -> QuadCovariance:
+    """Output quadrature spectral covariance at one frequency or a grid.
 
     Transforms the intracavity spectrum to the quadrature basis, symmetrizes,
     scales by the mirror couplings and adds the vacuum floor.  The result
@@ -160,17 +158,18 @@ def output_quad_spectrum(p: SystemParams, A: np.ndarray, D: np.ndarray,
 
 
 def _output_from_intracavity(p: SystemParams, S: np.ndarray,
-                             omega: float) -> QuadCovariance:
+                             omega: float | np.ndarray) -> QuadCovariance:
     Sq = _QUAD_MAP @ S @ _QUAD_MAP.T
-    M = Sq + Sq.T
-    imag_max = float(np.abs(M.imag).max())
-    if imag_max > _IMAG_TOL:
+    M = Sq + Sq.mT
+    imag = np.abs(M.imag).max(axis=(-2, -1)).reshape(-1)
+    if np.any(imag > _IMAG_TOL):
+        worst = np.nanargmax(imag)
         raise NonHermitianResidue(
-            f"imaginary residue {imag_max:.3e} in quadrature spectrum at "
-            f"omega={omega}")
+            f"imaginary residue {imag[worst]:.3e} in quadrature spectrum at "
+            f"omega={np.reshape(omega, -1)[worst]}")
     g = np.sqrt(np.repeat(p.gammas(), 2))
     out = _I6 + np.outer(g, g) * M.real
-    return QuadCovariance(omega=float(omega), matrix=out)
+    return QuadCovariance(omega=omega, matrix=out)
 
 
 @dataclass(frozen=True)
@@ -184,21 +183,23 @@ class SpectrumResult:
 
 def compute_spectrum(p: SystemParams, dd: DriftDiffusion,
                      omega: float) -> SpectrumResult:
-    s_alpha = intracavity_spectrum(dd.a_matrix, dd.d_matrix, omega)
-    return SpectrumResult(omega=float(omega), s_alpha=s_alpha,
-                          s_quad=_output_from_intracavity(p, s_alpha, omega))
+    """Spectra at one frequency: the one-point grid."""
+    return spectrum_grid(p, dd, [omega])[0]
 
 
 def spectrum_grid(p: SystemParams, dd: DriftDiffusion,
                   omegas: np.ndarray | None = None) -> list[SpectrumResult]:
     """Spectra over a frequency grid (default grid when omegas is None).
 
-    Per-frequency evaluations are independent; this is a plain loop because
-    each 6x6 solve is microseconds.
+    All frequencies are solved as one stack; the items are slices of it.
     """
-    if omegas is None:
-        omegas = default_omega_grid()
-    return [compute_spectrum(p, dd, float(w)) for w in np.asarray(omegas)]
+    omegas = default_omega_grid() if omegas is None else np.asarray(
+        omegas, dtype=float)
+    s_alpha = intracavity_spectrum(dd.a_matrix, dd.d_matrix, omegas)
+    s_quad = _output_from_intracavity(p, s_alpha, omegas)
+    return [SpectrumResult(omega=float(w), s_alpha=s,
+                           s_quad=QuadCovariance(omega=float(w), matrix=m))
+            for w, s, m in zip(omegas, s_alpha, s_quad.matrix)]
 
 
 def lyapunov_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:

@@ -190,25 +190,28 @@ class FieldState:
 
 @dataclass(frozen=True)
 class QuadCovariance:
-    """Output spectral covariance at one frequency.
+    """Output spectral covariance at one frequency or over a grid of them.
 
     matrix is the 6x6 real symmetric array of output quadrature variances
     and covariances in the basis (X1, Y1, X2, Y2, X3, Y3), normalized so the
-    vacuum value is 1 on the diagonal.  omega is in units of gamma1.
+    vacuum value is 1 on the diagonal.  omega is in units of gamma1.  A stack
+    holds an (n, 6, 6) matrix with an array of n frequencies; the symmetry
+    check and the symmetrization act on the last two axes.
     """
 
-    omega: float
+    omega: float | np.ndarray
     matrix: np.ndarray
     _SYM_TOL = 1e-10
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (6, 6):
-            raise ValueError(f"matrix must be 6x6, got {m.shape}")
-        if np.abs(m - m.T).max() > self._SYM_TOL:
+        if m.ndim > 3 or m.shape != np.shape(self.omega) + (6, 6):
+            raise ValueError(f"matrix must be 6x6, or (n, 6, 6) for n "
+                             f"frequencies; got {m.shape}")
+        if np.abs(m - m.mT).max() > self._SYM_TOL:
             raise NonHermitianResidue(
-                f"asymmetry {np.abs(m - m.T).max():.3e} exceeds tolerance")
-        object.__setattr__(self, "matrix", _frozen(0.5 * (m + m.T)))
+                f"asymmetry {np.abs(m - m.mT).max():.3e} exceeds tolerance")
+        object.__setattr__(self, "matrix", _frozen(0.5 * (m + m.mT)))
 
     @classmethod
     def vacuum(cls, omega: float = 0.0) -> "QuadCovariance":
@@ -221,5 +224,5 @@ class QuadCovariance:
 
     def uncertainty_products(self) -> np.ndarray:
         """V(X_i) V(Y_i) for the three modes; each >= 1 for physical states."""
-        d = np.diag(self.matrix)
-        return d[0::2] * d[1::2]
+        d = np.diagonal(self.matrix, axis1=-2, axis2=-1)
+        return d[..., 0::2] * d[..., 1::2]

@@ -137,7 +137,6 @@ class EnsembleMoments:
     fluct_cov: np.ndarray
     fluct_cov_stderr: np.ndarray
     divergent: int
-    final_states: np.ndarray | None = None
 
     @property
     def reliable(self) -> bool:
@@ -147,16 +146,11 @@ class EnsembleMoments:
         """<alpha_i+ alpha_j> at a sample time (modes 1-based)."""
         return complex(self.second_doubled[t_index, 2 * (i - 1) + 1, 2 * (j - 1)])
 
-    def anomalous_moment(self, i: int, j: int, t_index: int = -1) -> complex:
-        """<alpha_i alpha_j> at a sample time (modes 1-based)."""
-        return complex(self.second_doubled[t_index, 2 * (i - 1), 2 * (j - 1)])
-
 
 def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
                  n_traj: int = 1000, seed: int = 0,
                  sample_times: list[float] | None = None,
                  initial: FieldState | None = None,
-                 keep_final_states: bool = False,
                  strict: bool = True) -> EnsembleMoments:
     """Integrate an ensemble and return its moment statistics.
 
@@ -191,14 +185,10 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
     fcov = np.empty((n_samples, 6, 6), dtype=complex)
     fcov_se = np.empty((n_samples, 6, 6), dtype=complex)
 
-    def doubled_live() -> np.ndarray:
+    def record(slot: int) -> None:
         v = np.empty((6, int(alive.sum())), dtype=complex)
         v[0::2] = a[:, alive]
         v[1::2] = b[:, alive]
-        return v
-
-    def record(slot: int) -> None:
-        v = doubled_live()
         if v.shape[1] == 0:
             raise ExcessiveDivergence("all trajectories diverged")
         means[slot], means_se[slot] = _mean_and_stderr(v)
@@ -237,8 +227,7 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
         means=means, means_stderr=means_se,
         second_doubled=m2, second_doubled_stderr=m2_se,
         fluct_cov=fcov, fluct_cov_stderr=fcov_se,
-        divergent=divergent,
-        final_states=doubled_live() if keep_final_states else None)
+        divergent=divergent)
     if strict and not result.reliable:
         raise ExcessiveDivergence(
             f"{divergent} of {n_traj} trajectories diverged")

@@ -175,6 +175,20 @@ def test_figures_file_sets(tmp_path):
         "obr_regime2.csv"}
 
 
+def test_figures_rejects_parameter_overrides(tmp_path, capsys):
+    # figures plots the presets, so a pump or rate setting would be ignored
+    assert main(["figures", "--regime", "1", "--epsilon", "150",
+                 "--out", str(tmp_path / "flag")]) == 2
+    assert "error:" in capsys.readouterr().err
+    cfg_file = tmp_path / "rates.cfg"
+    cfg_file.write_text("kappa1 = 0.02\n", encoding="utf-8")
+    assert main(["figures", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "file")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists()
+    assert not (tmp_path / "file").exists()
+
+
 def test_identical_config_gives_identical_bytes(tmp_path):
     args = ["figures", "--omega-range", "-4:4:9"]
     a, b = tmp_path / "a", tmp_path / "b"
@@ -239,6 +253,14 @@ def test_gnuplot_script_references_artifacts(tmp_path):
     script = (tmp_path / "plots.gp").read_text(encoding="utf-8")
     assert "obr_regime1.csv" in script
     assert "plot" in script
+
+
+def test_gnuplot_rejected_in_stochastic_mode(tmp_path, capsys):
+    code = main(["stochastic", "--regime", "1", "--n-traj", "2", "--gnuplot",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_nested_output_directory_created(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,12 @@ from harmoniccascade import (
     DegenerateVariance,
     QuadCovariance,
     classify,
+    evaluate_grid,
     evaluate_report,
     obr_inferred,
     obr_product,
+    spectrum_grid,
+    summarize_grid,
     vlf_pair,
     vlf_triple,
 )
@@ -121,6 +126,11 @@ def test_degenerate_variance_raises():
     v[2] = v[4] = 0.0    # X_2 + X_3 sum variance collapses
     with pytest.raises(DegenerateVariance):
         obr_inferred(_diag_cov(v), 1, 2, 3)
+    # one degenerate frequency in a stack is enough
+    stack = QuadCovariance(omega=np.array([0.0, 1.0]),
+                           matrix=np.stack([np.eye(6), np.diag(v)]))
+    with pytest.raises(DegenerateVariance):
+        obr_inferred(stack, 1, 2, 3)
 
 
 @given(st.lists(st.floats(min_value=1.0, max_value=10.0), min_size=3, max_size=3))
@@ -186,3 +196,47 @@ def test_regime1_minima_sit_at_center_frequencies(summary1):
 
 def test_sum_obr_minimum_at_zero_frequency(summary1):
     assert summary1.min_sum_obr[1] == 0.0
+
+
+@pytest.mark.parametrize("regime", [1, 2])
+@given(omegas=st.lists(st.floats(min_value=-30.0, max_value=30.0),
+                       min_size=1, max_size=20).map(sorted))
+@settings(max_examples=25, deadline=None)
+def test_grid_equals_pointwise_evaluation(regime, omegas, regime1, regime2,
+                                          dd1, dd2):
+    # The batched grid must reproduce, bit for bit, what one frequency at a
+    # time gives, and its minima must be the first minima over the items.
+    p, dd = (regime1, dd1) if regime == 1 else (regime2, dd2)
+    spectra = spectrum_grid(p, dd, omegas)
+    for item in spectra:
+        one = spectrum_grid(p, dd, [item.omega])[0]
+        assert one.omega == item.omega
+        np.testing.assert_array_equal(item.s_alpha, one.s_alpha)
+        np.testing.assert_array_equal(item.s_quad.matrix, one.s_quad.matrix)
+
+    grid = evaluate_grid(spectra)
+    reports = [evaluate_report(item.s_quad) for item in spectra]
+    assert len(grid) == len(reports)
+    for field in dataclasses.fields(grid):
+        column = getattr(grid, field.name)
+        for k, report in enumerate(reports):
+            want = getattr(report, field.name)
+            if isinstance(want, dict):
+                assert {key: v[k] for key, v in column.items()} == want
+            else:
+                assert column[k] == want
+
+    def first_min(get):
+        values = [get(r) for r in reports]
+        k = min(range(len(values)), key=values.__getitem__)
+        return values[k], reports[k].omega
+
+    summary = summarize_grid(grid)
+    assert summary.min_v_pair == {
+        pq: first_min(lambda r: r.v_pair[pq]) for pq in PAIR_ORDER}
+    assert summary.min_v_triple == {
+        t: first_min(lambda r: r.v_triple[t]) for t in TRIPLE_ORDER}
+    assert summary.min_obr == {
+        t: first_min(lambda r: r.obr[t]) for t in OBR_ORDER}
+    assert summary.min_sum_v_pair == first_min(lambda r: r.sum_v_pair)
+    assert summary.min_sum_obr == first_min(lambda r: r.sum_obr)

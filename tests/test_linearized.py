@@ -136,6 +136,11 @@ def test_ill_conditioned_resolvent_warns():
     D = np.eye(6, dtype=complex)
     with pytest.warns(RuntimeWarning, match="ill-conditioned"):
         intracavity_spectrum(A, D, 0.0)
+    # a grid warns once, naming its worst frequency
+    with pytest.warns(RuntimeWarning) as record:
+        intracavity_spectrum(A, D, np.array([-1.0, 0.0, 2.0]))
+    assert len(record) == 1
+    assert "omega=0.0:" in str(record[0].message)
 
 
 @pytest.mark.parametrize("regime", [1, 2])
@@ -184,7 +189,8 @@ def test_spectrum_grid_carries_frequencies(regime1, dd1):
     out = spectrum_grid(regime1, dd1, omegas)
     assert [s.omega for s in out] == [-1.0, 0.0, 2.5]
     one = compute_spectrum(regime1, dd1, 2.5)
-    np.testing.assert_allclose(out[2].s_quad.matrix, one.s_quad.matrix)
+    np.testing.assert_array_equal(out[2].s_quad.matrix, one.s_quad.matrix)
+    np.testing.assert_array_equal(out[2].s_alpha, one.s_alpha)
 
 
 @pytest.mark.parametrize("regime", [1, 2])
@@ -202,8 +208,7 @@ def test_spectrum_integral_recovers_lyapunov(regime, request):
     dd = request.getfixturevalue(f"dd{regime}")
     C = request.getfixturevalue(f"lyap{regime}")
     w = np.linspace(-200.0, 200.0, 8001)
-    vals = np.stack([intracavity_spectrum(dd.a_matrix, dd.d_matrix, x)
-                     for x in w])
+    vals = intracavity_spectrum(dd.a_matrix, dd.d_matrix, w)
     integral = np.trapezoid(vals, w, axis=0) / (2 * np.pi)
     assert np.abs(integral - C).max() < 1e-3
 

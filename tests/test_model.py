@@ -127,8 +127,18 @@ def test_quad_covariance_rejects_asymmetry():
     m[0, 1] = 1e-6
     with pytest.raises(NonHermitianResidue):
         QuadCovariance(omega=0.0, matrix=m)
+    # in a stack, one asymmetric matrix is enough
+    with pytest.raises(NonHermitianResidue):
+        QuadCovariance(omega=np.zeros(3),
+                       matrix=np.stack([np.eye(6), m, np.eye(6)]))
 
 
 def test_quad_covariance_rejects_wrong_shape():
     with pytest.raises(ValueError):
         QuadCovariance(omega=0.0, matrix=np.eye(4))
+    stack = np.stack([np.eye(6)] * 3)
+    ok = QuadCovariance(omega=np.arange(3.0), matrix=stack)
+    assert ok.matrix.shape == (3, 6, 6)
+    for omega in (0.0, np.arange(2.0)):   # one frequency per matrix
+        with pytest.raises(ValueError):
+            QuadCovariance(omega=omega, matrix=stack)
