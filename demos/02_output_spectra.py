@@ -20,20 +20,17 @@ for regime, p in REGIME_PRESETS.items():
     ss = require_steady_state(p)
     dd = DriftDiffusion.from_steady_state(p, ss.state)
     spectra = spectrum_grid(p, dd)  # default grid: [-20, 20], 801 points
-    omegas = np.array([s.omega for s in spectra])
+    S = spectra.s_quad              # one QuadCovariance over the grid
 
     print(f"regime {regime}")
     for mode in (1, 2, 3):
-        vx = np.array([s.s_quad.variance("X", mode) for s in spectra])
-        vy = np.array([s.s_quad.variance("Y", mode) for s in spectra])
+        vx, vy = S.variance("X", mode), S.variance("Y", mode)
         quad, v = ("X", vx) if vx.min() < vy.min() else ("Y", vy)
-        w = omegas[v.argmin()]
+        w = spectra.omega[v.argmin()]
         print(f"  mode {mode}: best squeezing V({quad}_{mode}) = "
               f"{v.min():.6f} at omega = {w:+.2f}")
 
-    mats = np.array([s.s_quad.matrix for s in spectra])
     print(f"  symmetry |V(omega) - V(-omega)| max: "
-          f"{np.abs(mats - mats[::-1]).max():.2e}")
-    products = np.array([s.s_quad.uncertainty_products() for s in spectra])
-    print(f"  min V(X)V(Y) over grid: {products.min():.12f}")
+          f"{np.abs(S.matrix - S.matrix[::-1]).max():.2e}")
+    print(f"  min V(X)V(Y) over grid: {S.uncertainty_products().min():.12f}")
     print()

@@ -2,9 +2,9 @@
 output spectra, and tripartite correlation criteria.
 
 Typical flow: validate a SystemParams, find its steady state, build the
-drift/diffusion pair, sweep output spectra over frequency, and evaluate the
-correlation criteria on each; the stochastic module provides an independent
-ensemble oracle for the first two stages.
+drift/diffusion pair, solve the output spectra over a frequency grid, and
+evaluate the correlation criteria over it; the stochastic module provides
+an independent ensemble oracle for the first two stages.
 """
 
 from .model import (
@@ -36,11 +36,9 @@ from .linearized import (
     SpectrumResult,
     build_diffusion,
     build_drift,
-    compute_spectrum,
     default_omega_grid,
     intracavity_spectrum,
     lyapunov_covariance,
-    output_quad_spectrum,
     spectrum_grid,
     stability_eigenvalues,
 )
@@ -86,9 +84,8 @@ __all__ = [
     "require_steady_state", "algebraic_steady_state", "detect_pulsing",
     "pulsing_threshold",
     "DriftDiffusion", "SpectrumResult", "build_drift", "build_diffusion",
-    "stability_eigenvalues", "intracavity_spectrum", "output_quad_spectrum",
-    "compute_spectrum", "spectrum_grid", "lyapunov_covariance",
-    "default_omega_grid",
+    "stability_eigenvalues", "intracavity_spectrum", "spectrum_grid",
+    "lyapunov_covariance", "default_omega_grid",
     "CorrelationReport", "GridSummary", "DegenerateVariance", "classify",
     "evaluate_report", "evaluate_grid", "summarize_grid",
     "vlf_pair", "vlf_triple", "obr_inferred", "obr_product",

@@ -341,7 +341,8 @@ def _run_steady(config: RunConfig, out: Path):
 def _run_spectra(config: RunConfig, out: Path):
     spectra = _spectra_for(config.params, config)
     columns = ["omega", "vx1", "vy1", "vx2", "vy2", "vx3", "vy3"]
-    rows = [[s.omega, *np.diagonal(s.s_quad.matrix)] for s in spectra]
+    diagonal = np.diagonal(spectra.s_quad.matrix, axis1=-2, axis2=-1)
+    rows = zip(spectra.omega, *diagonal.T)
     meta = (["mode = spectra"] + _param_lines(config.params)
             + _grid_meta(config))
     return [_write_csv(out / "spectra.csv", meta, columns, rows)]

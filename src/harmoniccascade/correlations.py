@@ -208,10 +208,8 @@ def evaluate_report(S: QuadCovariance) -> CorrelationReport:
 
 
 def evaluate_grid(spectra) -> CorrelationReport:
-    """evaluate_report of the stacked s_quad of SpectrumResult items."""
-    return evaluate_report(QuadCovariance(
-        omega=np.array([item.omega for item in spectra]),
-        matrix=np.array([item.s_quad.matrix for item in spectra])))
+    """evaluate_report of the output spectra of a SpectrumResult."""
+    return evaluate_report(spectra.s_quad)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ measured output spectra follow by transforming to quadratures and applying
 the input-output relation, which adds the vacuum floor:
 
     S_out[p, q] = delta_pq + sqrt(gamma_p gamma_q) (Sq[p, q] + Sq[q, p]).
+
+spectrum_grid is the one entry point: it solves a frequency grid as one
+(n, 6, 6) stack and returns both spectra as one SpectrumResult.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ __all__ = [
     "build_diffusion",
     "stability_eigenvalues",
     "intracavity_spectrum",
-    "output_quad_spectrum",
-    "compute_spectrum",
     "spectrum_grid",
     "lyapunov_covariance",
     "default_omega_grid",
@@ -145,61 +146,57 @@ def intracavity_spectrum(A: np.ndarray, D: np.ndarray,
     return np.linalg.solve(A - 1j * w * _I6, Y.mT).mT
 
 
-def output_quad_spectrum(p: SystemParams, A: np.ndarray, D: np.ndarray,
-                         omega: float | np.ndarray) -> QuadCovariance:
-    """Output quadrature spectral covariance at one frequency or a grid.
+@dataclass(frozen=True)
+class SpectrumResult:
+    """Intracavity and output spectra at one frequency or over a grid.
 
-    Transforms the intracavity spectrum to the quadrature basis, symmetrizes,
-    scales by the mirror couplings and adds the vacuum floor.  The result
-    must be real; residual imaginary parts above tolerance signal an
-    upstream bug and raise NonHermitianResidue.
+    Over n frequencies omega is an array, s_alpha the (n, 6, 6) intracavity
+    stack and s_quad one QuadCovariance stack; at one frequency they are a
+    scalar and 6x6 matrices.  len() counts the frequencies, and indexing
+    along omega gives the spectra there: an int one frequency, a slice a
+    sub-grid.
     """
-    return _output_from_intracavity(p, intracavity_spectrum(A, D, omega), omega)
+
+    omega: float | np.ndarray
+    s_alpha: np.ndarray
+    s_quad: QuadCovariance
+
+    def __len__(self) -> int:
+        return int(np.size(self.omega))
+
+    def __getitem__(self, index) -> "SpectrumResult":
+        if np.ndim(self.omega) == 0:    # else iteration would end silently
+            raise TypeError("one frequency has no frequency axis to index")
+        omega = self.omega[index]
+        return SpectrumResult(omega=omega, s_alpha=self.s_alpha[index],
+                              s_quad=QuadCovariance(
+                                  omega=omega, matrix=self.s_quad.matrix[index]))
 
 
-def _output_from_intracavity(p: SystemParams, S: np.ndarray,
-                             omega: float | np.ndarray) -> QuadCovariance:
-    Sq = _QUAD_MAP @ S @ _QUAD_MAP.T
+def spectrum_grid(p: SystemParams, dd: DriftDiffusion,
+                  omegas: float | np.ndarray | None = None) -> SpectrumResult:
+    """Spectra over a frequency grid (default grid when omegas is None).
+
+    A scalar omega gives the spectra at that one frequency.  All frequencies
+    are solved as one stack.  The output spectrum transforms the intracavity
+    one to the quadrature basis, symmetrizes, scales by the mirror couplings
+    and adds the vacuum floor.  It must be real; residual imaginary parts
+    above tolerance signal an upstream bug and raise NonHermitianResidue.
+    """
+    omegas = default_omega_grid() if omegas is None else np.array(
+        omegas, dtype=float)[()]    # [()] keeps a scalar omega a scalar
+    s_alpha = intracavity_spectrum(dd.a_matrix, dd.d_matrix, omegas)
+    Sq = _QUAD_MAP @ s_alpha @ _QUAD_MAP.T
     M = Sq + Sq.mT
     imag = np.abs(M.imag).max(axis=(-2, -1)).reshape(-1)
     if np.any(imag > _IMAG_TOL):
         worst = np.nanargmax(imag)
         raise NonHermitianResidue(
             f"imaginary residue {imag[worst]:.3e} in quadrature spectrum at "
-            f"omega={np.reshape(omega, -1)[worst]}")
+            f"omega={np.reshape(omegas, -1)[worst]}")
     g = np.sqrt(np.repeat(p.gammas(), 2))
-    out = _I6 + np.outer(g, g) * M.real
-    return QuadCovariance(omega=omega, matrix=out)
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Intracavity and output spectra at one frequency."""
-
-    omega: float
-    s_alpha: np.ndarray
-    s_quad: QuadCovariance
-
-
-def compute_spectrum(p: SystemParams, dd: DriftDiffusion,
-                     omega: float) -> SpectrumResult:
-    """Spectra at one frequency: the one-point grid."""
-    return spectrum_grid(p, dd, [omega])[0]
-
-
-def spectrum_grid(p: SystemParams, dd: DriftDiffusion,
-                  omegas: np.ndarray | None = None) -> list[SpectrumResult]:
-    """Spectra over a frequency grid (default grid when omegas is None).
-
-    All frequencies are solved as one stack; the items are slices of it.
-    """
-    omegas = default_omega_grid() if omegas is None else np.asarray(
-        omegas, dtype=float)
-    s_alpha = intracavity_spectrum(dd.a_matrix, dd.d_matrix, omegas)
-    s_quad = _output_from_intracavity(p, s_alpha, omegas)
-    return [SpectrumResult(omega=float(w), s_alpha=s,
-                           s_quad=QuadCovariance(omega=float(w), matrix=m))
-            for w, s, m in zip(omegas, s_alpha, s_quad.matrix)]
+    s_quad = QuadCovariance(omega=omegas, matrix=_I6 + np.outer(g, g) * M.real)
+    return SpectrumResult(omega=omegas, s_alpha=s_alpha, s_quad=s_quad)
 
 
 def lyapunov_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:

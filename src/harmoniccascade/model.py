@@ -76,17 +76,19 @@ class SystemParams:
 
 
 def validate_params(p: SystemParams, allow_rescale: bool = False) -> SystemParams:
-    """Check positivity and the gamma1 == 1 normalization.
+    """Check finite positive rates, a finite pump and gamma1 == 1.
 
     Returns the params unchanged when valid.  When gamma1 != 1,
     allow_rescale=True re-expresses all rates and the pump in units of
     1/gamma1 instead of rejecting; idempotent either way.
     """
     bad = [name for name in ("kappa1", "kappa2", "gamma1", "gamma2", "gamma3")
-           if not getattr(p, name) > 0]
+           if not 0 < getattr(p, name) < np.inf]
+    if not np.isfinite(p.epsilon):
+        bad.append("epsilon")
     if bad:
-        raise NonPositiveRate(
-            "rates must be positive, violated by: " + ", ".join(bad))
+        raise NonPositiveRate("rates must be positive and finite and the "
+                              "pump finite, violated by: " + ", ".join(bad))
     if p.gamma1 != 1.0:
         if not allow_rescale:
             raise NonPositiveRate(
@@ -217,10 +219,11 @@ class QuadCovariance:
     def vacuum(cls, omega: float = 0.0) -> "QuadCovariance":
         return cls(omega=omega, matrix=np.eye(6))
 
-    def variance(self, label: str, mode: int) -> float:
-        """V(X_mode) for label 'X', V(Y_mode) for label 'Y'."""
+    def variance(self, label: str, mode: int) -> float | np.ndarray:
+        """V(X_mode) for label 'X', V(Y_mode) for label 'Y'; over omega
+        for a stack."""
         idx = quad_index_x(mode) if label == "X" else quad_index_y(mode)
-        return float(self.matrix[idx, idx])
+        return self.matrix[..., idx, idx]
 
     def uncertainty_products(self) -> np.ndarray:
         """V(X_i) V(Y_i) for the three modes; each >= 1 for physical states."""

@@ -234,6 +234,14 @@ def test_self_pulsing_exit_code_and_message(tmp_path, capsys):
     assert "self-pulsing" in err
 
 
+def test_non_finite_pump_exit_code(tmp_path, capsys):
+    for value in ("nan", "inf"):
+        assert main(["steady", "--epsilon", value,
+                     "--out", str(tmp_path)]) == 2
+        assert "epsilon" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_parse_failure_exit_code(tmp_path, capsys):
     assert main(["orbit", "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err

@@ -7,14 +7,13 @@ from harmoniccascade import (
     DriftDiffusion,
     FieldState,
     NonHermitianResidue,
+    QuadCovariance,
     algebraic_steady_state,
     build_diffusion,
     build_drift,
-    compute_spectrum,
     default_omega_grid,
     intracavity_spectrum,
     lyapunov_covariance,
-    output_quad_spectrum,
     semiclassical_derivative,
     spectrum_grid,
     stability_eigenvalues,
@@ -172,25 +171,47 @@ def test_vacuum_limit_output_is_identity():
     p = replace(REGIME_PRESETS[1], epsilon=1e-300)
     ss = FieldState.vacuum()
     dd = DriftDiffusion.from_steady_state(p, ss)
-    for w in (0.0, 1.5, -20.0):
-        out = output_quad_spectrum(p, dd.a_matrix, dd.d_matrix, w)
-        assert np.abs(out.matrix - np.eye(6)).max() < 1e-12
+    out = spectrum_grid(p, dd, [0.0, 1.5, -20.0])
+    assert np.abs(out.s_quad.matrix - np.eye(6)).max() < 1e-12
 
 
 def test_output_spectrum_rejects_imaginary_residue(dd1):
     D_bad = dd1.d_matrix.copy()
     D_bad[0, 0] = 1j * abs(D_bad[0, 0])    # breaks the conjugate pairing
     with pytest.raises(NonHermitianResidue):
-        output_quad_spectrum(REGIME_PRESETS[1], dd1.a_matrix, D_bad, 0.3)
+        spectrum_grid(REGIME_PRESETS[1], replace(dd1, d_matrix=D_bad), 0.3)
 
 
 def test_spectrum_grid_carries_frequencies(regime1, dd1):
     omegas = np.array([-1.0, 0.0, 2.5])
     out = spectrum_grid(regime1, dd1, omegas)
+    assert len(out) == 3
     assert [s.omega for s in out] == [-1.0, 0.0, 2.5]
-    one = compute_spectrum(regime1, dd1, 2.5)
+    # an int gives one frequency, counted from the end when negative
+    last = out[-1]
+    assert last.omega == 2.5
+    np.testing.assert_array_equal(last.s_alpha, out.s_alpha[2])
+    np.testing.assert_array_equal(last.s_quad.matrix, out.s_quad.matrix[2])
+    with pytest.raises(IndexError):
+        out[3]
+    # a slice gives a sub-grid
+    sub = out[1:]
+    assert len(sub) == 2
+    np.testing.assert_array_equal(sub.omega, [0.0, 2.5])
+    np.testing.assert_array_equal(sub.s_alpha, out.s_alpha[1:])
+    np.testing.assert_array_equal(sub.s_quad.matrix, out.s_quad.matrix[1:])
+    # a scalar omega is the one-point case and the same code
+    one = spectrum_grid(regime1, dd1, 2.5)
+    assert one.omega == 2.5 and np.ndim(one.omega) == 0
+    with pytest.raises(TypeError):
+        list(one)
     np.testing.assert_array_equal(out[2].s_quad.matrix, one.s_quad.matrix)
     np.testing.assert_array_equal(out[2].s_alpha, one.s_alpha)
+    # items are plain dataclasses
+    vac = replace(out[0], s_quad=QuadCovariance.vacuum(-1.0))
+    assert vac.omega == -1.0
+    np.testing.assert_array_equal(vac.s_alpha, out.s_alpha[0])
+    np.testing.assert_array_equal(vac.s_quad.matrix, np.eye(6))
 
 
 @pytest.mark.parametrize("regime", [1, 2])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import harmoniccascade
 from harmoniccascade import (
     FieldState,
     NonHermitianResidue,
@@ -31,16 +32,18 @@ def test_validate_params_accepts_reference_regime():
     np.testing.assert_array_equal(q.gammas(), [1.0, 0.5, 0.5])
 
 
-@pytest.mark.parametrize("field", ["kappa1", "kappa2", "gamma1", "gamma2", "gamma3"])
+@pytest.mark.parametrize("field", ["kappa1", "kappa2", "gamma1", "gamma2",
+                                   "gamma3", "epsilon"])
 def test_validate_params_rejects_nonpositive_rates(field):
     base = dict(kappa1=5e-3, kappa2=2e-2, epsilon=105.0,
                 gamma1=1.0, gamma2=0.5, gamma3=0.5)
-    base[field] = 0.0
-    with pytest.raises(NonPositiveRate):
-        validate_params(SystemParams(**base))
-    base[field] = -1.0
-    with pytest.raises(NonPositiveRate):
-        validate_params(SystemParams(**base))
+    # the pump may be zero or negative, but like every rate must be finite
+    bad = ((np.nan, np.inf, complex(105.0, np.nan), complex(0.0, -np.inf))
+           if field == "epsilon" else (0.0, -1.0, np.nan, np.inf))
+    for value in bad:
+        base[field] = value
+        with pytest.raises(NonPositiveRate, match=field):
+            validate_params(SystemParams(**base))
 
 
 def test_validate_params_requires_unit_gamma1_unless_rescaled():
@@ -113,6 +116,21 @@ def test_quad_covariance_vacuum_identity():
     assert v.variance("X", 1) == 1.0
     assert v.variance("Y", 3) == 1.0
     np.testing.assert_allclose(v.uncertainty_products(), np.ones(3))
+
+
+def test_quad_covariance_variance_over_a_stack():
+    stack = np.stack([np.diag(np.arange(1.0, 7.0)) * k for k in (1, 2, 3)])
+    c = QuadCovariance(omega=np.arange(3.0), matrix=stack)
+    np.testing.assert_array_equal(c.variance("X", 1), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(c.variance("Y", 3), [6.0, 12.0, 18.0])
+    np.testing.assert_array_equal(c.uncertainty_products()[:, 1],
+                                  c.variance("X", 2) * c.variance("Y", 2))
+
+
+def test_public_names_resolve():
+    # `from harmoniccascade import *` fails on any stale __all__ entry
+    for name in harmoniccascade.__all__:
+        assert hasattr(harmoniccascade, name), name
 
 
 def test_quad_covariance_symmetrizes_small_residue():
