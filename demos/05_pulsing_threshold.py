@@ -3,18 +3,18 @@
 Pushing the pump up, a conjugate eigenvalue pair of the drift matrix crosses
 into the left half plane and the stationary state gives way to a limit
 cycle.  The crossing is located by continuation plus bisection on the
-eigenvalues, then confirmed by brute-force integration: just below, the
-fields settle; just above, the intensities pulse with a period near half the
-linear oscillation period (the cycle modulates the amplitude at second
-order, doubling the intensity frequency).
+eigenvalues.  Just above it, the steady-state solver refuses the root it
+finds and names the critical pair with its Hopf frequency; acceptance
+criterion 8 confirms the onset by brute-force integration.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 from harmoniccascade import (
     REGIME_PRESETS,
     NotStationary,
-    SystemParams,
     build_drift,
     pulsing_threshold,
     require_steady_state,
@@ -26,20 +26,16 @@ for regime, p in REGIME_PRESETS.items():
     print(f"regime {regime}: stationary branch loses stability at "
           f"pump = {eps_c:.2f} (operating point {p.epsilon})")
 
-    q = SystemParams(p.kappa1, p.kappa2, eps_c * 1.02, p.gamma1, p.gamma2,
-                     p.gamma3)
-    ss_branch = require_steady_state(
-        SystemParams(p.kappa1, p.kappa2, eps_c * 0.9, p.gamma1, p.gamma2,
-                     p.gamma3))
-    eig = np.linalg.eigvals(build_drift(p, ss_branch.state))
-    pair = eig[np.abs(eig.imag) > 1e-6]
-    if pair.size:
-        print(f"  at 0.9 eps_c the critical pair sits at "
-              f"{pair[0].real:+.4f} +/- {abs(pair[0].imag):.4f}i, "
-              f"linear period {2 * np.pi / abs(pair[0].imag):.3f}")
+    below = replace(p, epsilon=eps_c * 0.9)
+    ss_branch = require_steady_state(below)
+    eig = np.linalg.eigvals(build_drift(below, ss_branch.state))
+    pair = eig[np.argmin(eig.real)]
+    print(f"  at 0.9 eps_c the critical pair sits at "
+          f"{pair.real:+.4f} +/- {abs(pair.imag):.4f}i, "
+          f"linear period {2 * np.pi / abs(pair.imag):.3f}")
 
     try:
-        require_steady_state(q, t_max=5000.0)
+        require_steady_state(replace(p, epsilon=eps_c * 1.02))
         print("  unexpectedly stationary just above the crossing")
     except NotStationary as exc:
         print(f"  2% above: {exc}")

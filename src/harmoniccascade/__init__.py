@@ -16,16 +16,12 @@ from .model import (
     validate_params,
 )
 from .semiclassical import (
-    InsufficientData,
     IntegrationFailure,
     NoThresholdInRange,
     NotStationary,
-    PulsingDiagnosis,
     SteadyStateResult,
     ThresholdResult,
-    TrajectoryTail,
     algebraic_steady_state,
-    detect_pulsing,
     find_steady_state,
     pulsing_threshold,
     require_steady_state,
@@ -77,12 +73,10 @@ REGIME_PRESETS = {
 __all__ = [
     "SystemParams", "FieldState", "QuadCovariance", "validate_params",
     "NonPositiveRate", "NonHermitianResidue",
-    "SteadyStateResult", "PulsingDiagnosis", "ThresholdResult",
-    "TrajectoryTail", "NotStationary", "IntegrationFailure",
-    "InsufficientData", "NoThresholdInRange",
+    "SteadyStateResult", "ThresholdResult", "NotStationary",
+    "IntegrationFailure", "NoThresholdInRange",
     "semiclassical_derivative", "find_steady_state",
-    "require_steady_state", "algebraic_steady_state", "detect_pulsing",
-    "pulsing_threshold",
+    "require_steady_state", "algebraic_steady_state", "pulsing_threshold",
     "DriftDiffusion", "SpectrumResult", "build_drift", "build_diffusion",
     "stability_eigenvalues", "intracavity_spectrum", "spectrum_grid",
     "lyapunov_covariance", "default_omega_grid",

@@ -101,6 +101,9 @@ class RunConfig:
                               f"choose one of {', '.join(MODES)}")
         if self.regime not in (None, *REGIME_PRESETS):
             raise ConfigParse("regime must be 1 or 2")
+        if not np.isfinite([self.omega_min, self.omega_max, self.dt,
+                            self.t_end]).all():
+            raise ConfigParse("omega range, dt and t_end must be finite")
         if not self.omega_min < self.omega_max:
             raise ConfigParse("omega_min must be below omega_max")
         if self.omega_steps < 2:

@@ -2,10 +2,12 @@
 
 The deterministic limit of the doubled-phase-space equations closes on the
 classical manifold alpha_plus = conj(alpha), leaving three complex ODEs.
-Steady states are found by forward integration from the vacuum, which can
-only settle onto a stable branch; an independent algebraic root-finder is
-provided as a cross-check oracle and for tracking the stationary branch
-above the instability, where integration cannot converge.
+Steady states come from algebraic root-finding, seeded from the lossy-cavity
+pump response, and count as stationary only when every eigenvalue of the
+drift matrix there has a positive real part; the same root plus eigenvalues
+track the stationary branch past the instability.  Forward integration from
+the vacuum, which can only settle onto a stable branch, is kept as an
+independent oracle that selects the basin.
 """
 
 from __future__ import annotations
@@ -16,22 +18,19 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import root
 
+from .linearized import build_drift
 from .model import FieldState, SystemParams, doubled_drift, validate_params
 
 __all__ = [
     "SteadyStateResult",
-    "TrajectoryTail",
-    "PulsingDiagnosis",
     "ThresholdResult",
     "NotStationary",
     "IntegrationFailure",
-    "InsufficientData",
     "NoThresholdInRange",
     "semiclassical_derivative",
     "find_steady_state",
     "require_steady_state",
     "algebraic_steady_state",
-    "detect_pulsing",
     "pulsing_threshold",
 ]
 
@@ -39,22 +38,17 @@ __all__ = [
 # attractor pulls the numerical solution exponentially onto the fixed point.
 _RTOL = 1e-10
 _ATOL = 1e-12
-# Time discarded before tail analysis, in 1/gamma1 units.
-_TRANSIENT_DISCARD = 50.0
-# Relative intensity modulation that counts as sustained pulsing.
-_PULSING_LEVEL = 1e-6
+# Largest drift residual of a stationary state, on either route.
+_STATIONARY_TOL = 1e-12
 
 
 class NotStationary(RuntimeError):
-    """No stationary steady state: the system is in the self-pulsing regime."""
+    """No stable stationary state: self-pulsing, an unstable real direction,
+    or no root at all."""
 
 
 class IntegrationFailure(RuntimeError):
     """The ODE integrator failed (step-size underflow or non-finite state)."""
-
-
-class InsufficientData(ValueError):
-    """Trajectory tail too short to diagnose pulsing."""
 
 
 class NoThresholdInRange(RuntimeError):
@@ -62,26 +56,10 @@ class NoThresholdInRange(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrajectoryTail:
-    """Sampled late-time trajectory used for pulsing diagnosis."""
-
-    times: np.ndarray
-    alpha: np.ndarray  # shape (n_samples, 3), complex
-
-
-@dataclass(frozen=True)
 class SteadyStateResult:
     state: FieldState
     residual: float
     converged: bool
-    trajectory_tail: TrajectoryTail | None = None
-
-
-@dataclass(frozen=True)
-class PulsingDiagnosis:
-    is_pulsing: bool
-    period_estimate: float | None
-    amplitude: float
 
 
 @dataclass(frozen=True)
@@ -131,15 +109,14 @@ def _unpack(y) -> FieldState:
     return FieldState.classical(np.asarray(y)[0::2] + 1j * np.asarray(y)[1::2])
 
 
-def find_steady_state(p: SystemParams, tol: float = 1e-12,
+def find_steady_state(p: SystemParams,
                       t_max: float = 400.0) -> SteadyStateResult:
-    """Integrate from the vacuum until the drift residual drops below tol.
+    """Integrate from the vacuum until the drift residual drops to 1e-12.
 
-    Returns converged=False with a sampled trajectory tail when the residual
-    is still above tol at t_max, which is the self-pulsing signature below
-    the integration-failure level.  The classical manifold is enforced
-    exactly: only the three alpha equations are integrated and alpha_plus is
-    their conjugate bit for bit.
+    The oracle route: returns converged=False with the state reached at
+    t_max when the residual is still above 1e-12 there.  The classical
+    manifold is enforced exactly: only the three alpha equations are
+    integrated and alpha_plus is their conjugate bit for bit.
 
     The start is vacuum plus an infinitesimal imaginary seed on the pumped
     mode.  With a real pump the all-real subspace is invariant bit for bit,
@@ -155,7 +132,7 @@ def find_steady_state(p: SystemParams, tol: float = 1e-12,
     t = 0.0
     res = _residual_of(y, p)
     chunk = 25.0
-    while res > tol and t < t_max:
+    while res > _STATIONARY_TOL and t < t_max:
         t_next = min(t + chunk, t_max)
         sol = solve_ivp(_classical_rhs, (t, t_next), y, args=(p,),
                         method="LSODA", rtol=_RTOL, atol=_ATOL)
@@ -166,48 +143,46 @@ def find_steady_state(p: SystemParams, tol: float = 1e-12,
         y = sol.y[:, -1]
         t = t_next
         res = _residual_of(y, p)
-    if res <= tol:
-        return SteadyStateResult(state=_unpack(y), residual=res, converged=True)
-    # Not stationary: sample a dense tail for pulsing diagnosis.
-    span = max(4.0 * _TRANSIENT_DISCARD, 120.0)
-    times = np.arange(0.0, span + 1e-9, 0.05)
-    sol = solve_ivp(_classical_rhs, (t, t + span), y, args=(p,),
-                    t_eval=t + times, method="LSODA", rtol=_RTOL, atol=_ATOL)
-    if not sol.success:
-        raise IntegrationFailure(sol.message)
-    alpha = (sol.y[0::2] + 1j * sol.y[1::2]).T
-    keep = times >= _TRANSIENT_DISCARD
-    tail = TrajectoryTail(times=t + times[keep], alpha=alpha[keep])
-    return SteadyStateResult(state=_unpack(sol.y[:, -1]),
-                             residual=_residual_of(sol.y[:, -1], p),
-                             converged=False, trajectory_tail=tail)
+    return SteadyStateResult(state=_unpack(y), residual=res,
+                             converged=res <= _STATIONARY_TOL)
 
 
-def require_steady_state(p: SystemParams, tol: float = 1e-12,
-                         t_max: float = 400.0) -> SteadyStateResult:
-    """find_steady_state that raises NotStationary instead of returning
-    an unconverged result."""
-    result = find_steady_state(p, tol=tol, t_max=t_max)
-    if not result.converged:
-        diag = None
-        if result.trajectory_tail is not None:
-            diag = detect_pulsing(result.trajectory_tail, p)
-        if diag is not None and diag.is_pulsing:
+def require_steady_state(p: SystemParams) -> SteadyStateResult:
+    """The stable stationary state: algebraic root plus a stability check.
+
+    The root is seeded from the lossy-cavity guess.  It is returned only
+    when every drift eigenvalue has a positive real part and its residual
+    is at most 1e-12.  Otherwise NotStationary names the least stable
+    eigenvalue: one of a complex pair means the self-pulsing regime, with
+    the Hopf frequency |Im lambda|.
+    """
+    state, eigenvalues = _stationary_point(p)
+    lam = eigenvalues[np.argmin(eigenvalues.real)]
+    if lam.real <= 0:
+        # Roundoff leaves a tiny imaginary part on a real eigenvalue.
+        if abs(lam.imag) > 1e-9 * abs(lam):
             raise NotStationary(
-                f"self-pulsing regime: intensity modulation {diag.amplitude:.3e}"
-                + (f", period ~ {diag.period_estimate:.3g}" if diag.period_estimate else ""))
+                f"self-pulsing regime: drift eigenvalue pair {lam.real:.4g} "
+                f"+/- {abs(lam.imag):.4g}i, Hopf frequency "
+                f"{abs(lam.imag):.4g}")
         raise NotStationary(
-            f"no stationary state reached by t={t_max} (residual {result.residual:.3e})")
-    return result
+            f"unstable stationary point: real drift eigenvalue "
+            f"{lam.real:.4g}")
+    residual = _residual_of(_pack(state), p)
+    if residual > _STATIONARY_TOL:
+        raise NotStationary(f"root residual {residual:.3e} above "
+                            f"{_STATIONARY_TOL:g}")
+    return SteadyStateResult(state=state, residual=residual, converged=True)
 
 
 def algebraic_steady_state(p: SystemParams,
                            guess: FieldState | None = None) -> FieldState:
     """Stationary point by multidimensional root-finding.
 
-    Independent of the integration route; used as a cross-check oracle and
-    for continuation onto the unstable branch.  The default guess is the
-    lossy-cavity pump response with empty harmonics.
+    Stable or not; used by require_steady_state and for continuation onto
+    the unstable branch.  The default guess is the lossy-cavity pump
+    response with empty harmonics.  Raises NotStationary when no root is
+    found.
     """
     p = validate_params(p)
     if guess is None:
@@ -216,44 +191,28 @@ def algebraic_steady_state(p: SystemParams,
         y0[1] = (p.epsilon / p.gamma1).imag
     else:
         y0 = _pack(guess)
-    sol = root(lambda y: _classical_rhs(0.0, y, p), y0, method="hybr",
-               tol=1e-13)
+
+    def rhs(y):
+        return _classical_rhs(0.0, y, p)
+
+    sol = root(rhs, y0, method="hybr", tol=1e-13)
+    if _residual_of(sol.x, p) > _STATIONARY_TOL:
+        # hybr can stop a few ulps short of the residual the integration
+        # reaches; a restart from there polishes the root.
+        sol = root(rhs, sol.x, method="hybr", tol=1e-13)
     # hybr reports "not making good progress" when seeded at (or within
     # rounding of) the root itself; judge by the residual, not the flag.
-    resid = np.abs(_classical_rhs(0.0, sol.x, p)).max()
     scale = max(1.0, np.abs(sol.x).max())
-    if not sol.success and resid > 1e-10 * scale:
-        raise RuntimeError(f"root-finder did not converge: {sol.message}")
+    if not sol.success and _residual_of(sol.x, p) > 1e-10 * scale:
+        raise NotStationary(f"root-finder did not converge: {sol.message}")
     return _unpack(sol.x)
 
 
-def detect_pulsing(tail: TrajectoryTail, p: SystemParams) -> PulsingDiagnosis:
-    """Flag sustained oscillation of the fundamental intensity.
-
-    Uses the last half of the tail only, so slow residual transients in the
-    first half cannot masquerade as a limit cycle.  The period comes from
-    averaged upward zero-crossing spacings of the mean-removed intensity.
-    """
-    times = np.asarray(tail.times, dtype=float)
-    if times.size < 8 or (times[-1] - times[0]) < 20.0:
-        raise InsufficientData(
-            "tail must span at least 20 cavity lifetimes after the transient")
-    intensity = np.abs(np.asarray(tail.alpha)[:, 0]) ** 2
-    half = times.size // 2
-    t2, s2 = times[half:], intensity[half:]
-    mean = s2.mean()
-    swing = s2.max() - s2.min()
-    level = _PULSING_LEVEL * max(mean, 1e-300)
-    if swing <= level:
-        return PulsingDiagnosis(is_pulsing=False, period_estimate=None,
-                                amplitude=float(swing))
-    # Upward zero crossings of the mean-removed signal, linearly interpolated.
-    d = s2 - mean
-    up = np.flatnonzero((d[:-1] < 0) & (d[1:] >= 0))
-    crossings = t2[up] + (t2[up + 1] - t2[up]) * (-d[up]) / (d[up + 1] - d[up])
-    period = float(np.diff(crossings).mean()) if crossings.size >= 2 else None
-    return PulsingDiagnosis(is_pulsing=True, period_estimate=period,
-                            amplitude=float(swing))
+def _stationary_point(p: SystemParams, guess: FieldState | None = None
+                      ) -> tuple[FieldState, np.ndarray]:
+    """Algebraic root and the eigenvalues of the drift matrix there."""
+    state = algebraic_steady_state(p, guess)
+    return state, np.linalg.eigvals(build_drift(p, state))
 
 
 def pulsing_threshold(p: SystemParams, eps_range: tuple[float, float],
@@ -265,16 +224,12 @@ def pulsing_threshold(p: SystemParams, eps_range: tuple[float, float],
     min Re eig(A).  Continuation (not integration) is essential above the
     crossing, where the branch persists but is no longer an attractor.
     """
-    from .linearized import build_drift  # local import keeps layering acyclic
-
     p = validate_params(p)
     if not (eps_range[0] < eps_range[1]) or n_steps < 2:
         raise ValueError("eps_range must be increasing and n_steps >= 2")
 
     def stability(eps: float, seed: FieldState | None) -> tuple[float, FieldState]:
-        q = replace(p, epsilon=eps)
-        ss = algebraic_steady_state(q, guess=seed)
-        ev = np.linalg.eigvals(build_drift(q, ss))
+        ss, ev = _stationary_point(replace(p, epsilon=eps), seed)
         return float(ev.real.min()), ss
 
     scan_eps = np.linspace(eps_range[0], eps_range[1], n_steps)

@@ -2,12 +2,14 @@
 
 import gzip
 import re
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from harmoniccascade import REGIME_PRESETS, SystemParams
+from harmoniccascade import REGIME_PRESETS, SystemParams, find_steady_state
 from harmoniccascade.cli import (
     ConfigParse,
     RunConfig,
@@ -227,11 +229,29 @@ def test_seventeen_digit_floats_round_trip(tmp_path):
 
 
 def test_self_pulsing_exit_code_and_message(tmp_path, capsys):
-    code = main(["steady", "--regime", "1", "--epsilon", "400",
-                 "--out", str(tmp_path)])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "self-pulsing" in err
+    # 400 sits past a Hopf pair; far above threshold the least stable
+    # eigenvalue is real, which is no self-pulsing.
+    for epsilon, pulsing in (("400", True), ("1e6", False), ("1e10", False)):
+        start = time.perf_counter()
+        code = main(["steady", "--regime", "1", "--epsilon", epsilon,
+                     "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 10.0
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert ("self-pulsing" in err) == pulsing
+
+
+def test_steady_just_below_threshold(tmp_path):
+    # 0.99 of the regime-1 threshold: stable, but slow to relax onto
+    p = replace(REGIME_PRESETS[1], epsilon=228.1)
+    assert main(["steady", "--regime", "1", "--epsilon", "228.1",
+                 "--out", str(tmp_path)]) == 0
+    _, rows, _ = _read_rows(tmp_path / "steady.csv")
+    v = np.array([float(x) for x in rows[0][:6]])
+    ode = find_steady_state(p, t_max=5000.0)
+    assert ode.converged
+    assert np.abs(v[0::2] + 1j * v[1::2] - ode.state.alpha).max() < 1e-9
 
 
 def test_non_finite_pump_exit_code(tmp_path, capsys):
@@ -243,8 +263,11 @@ def test_non_finite_pump_exit_code(tmp_path, capsys):
 
 
 def test_parse_failure_exit_code(tmp_path, capsys):
-    assert main(["orbit", "--out", str(tmp_path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for args in (["orbit"], ["spectra", "--omega-range", "0:inf:5"],
+                 ["stochastic", "--dt", "nan"],
+                 ["stochastic", "--t-end", "inf"]):
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_unwritable_output_dir(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The quick demos run end to end and print their results.
 
-Demos 04 and 05 are left out: each takes well over ten seconds.
+Demo 04 is left out: it takes well over ten seconds.
 """
 
 import os
@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("script", ["01_steady_states.py",
                                     "02_output_spectra.py",
-                                    "03_correlation_criteria.py"])
+                                    "03_correlation_criteria.py",
+                                    "05_pulsing_threshold.py"])
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
