@@ -7,13 +7,23 @@ stationary spectrum
 
     S(omega) = (A + i omega)^-1 D (A^T - i omega)^-1,
 
-so B is never formed and no square-root branch choice is needed here.  The
-measured output spectra follow by transforming to quadratures and applying
-the input-output relation, which adds the vacuum floor:
+so B is never formed and no square-root branch choice is needed here.  It is
+evaluated in the eigenbasis of A (the modal solution of the OU spectrum):
+with A = V L V^-1 and C = V^-1 D V^-T,
+
+    S(omega) = V [C_jk / ((l_j + i omega)(l_k - i omega))] V^T,
+
+one eigendecomposition per call and a broadcast over the frequency grid.
+The eigenvalues also bound the resolvent conditioning, so the exact
+condition number is computed only where that bound comes near the warning
+threshold.  A nearly defective A (large cond(V)) falls back to two linear
+solves per frequency.  The measured output spectra follow by transforming to
+quadratures and applying the input-output relation, which adds the vacuum
+floor:
 
     S_out[p, q] = delta_pq + sqrt(gamma_p gamma_q) (Sq[p, q] + Sq[q, p]).
 
-spectrum_grid is the one entry point: it solves a frequency grid as one
+spectrum_grid is the one entry point: it evaluates a frequency grid as one
 (n, 6, 6) stack and returns both spectra as one SpectrumResult.
 """
 
@@ -49,6 +59,12 @@ _QUAD_MAP = np.kron(np.eye(3), [[1, 1], [-1j, 1j]])
 # Residual imaginary part allowed in the symmetrized quadrature spectrum.
 _IMAG_TOL = 1e-10
 _COND_WARN = 1e12
+# Largest cond(V) for which the modal route is used.  Its roundoff grows like
+# cond(V)^2 * eps (2.5e-13 relative at cond(V) = 128, 6e-12 at 740), so 1e2
+# keeps it at the 1e-12 the two-solve route is held to.  A 600-pump scan of
+# each preset's stable branch gives cond(V) <= 15; it diverges at regime 2's
+# pump 57.176, where two drift eigenvalues meet, and exceeds 1e2 within 0.015.
+_MODAL_COND_MAX = 1e2
 
 
 def default_omega_grid() -> np.ndarray:
@@ -126,22 +142,49 @@ def stability_eigenvalues(A: np.ndarray) -> np.ndarray:
 
 def intracavity_spectrum(A: np.ndarray, D: np.ndarray,
                          omega: float | np.ndarray) -> np.ndarray:
-    """S(omega) = (A + i omega)^-1 D (A^T - i omega)^-1 via two linear solves.
+    """S(omega) = (A + i omega)^-1 D (A^T - i omega)^-1 by the modal route.
 
-    A^T is the plain transpose, not the conjugate transpose.  Explicit
-    inversion is avoided; partial-pivoted solves are used instead.  A scalar
-    omega gives one 6x6 matrix, an array of n frequencies an (n, 6, 6)
-    stack.  One RuntimeWarning names the worst-conditioned frequency when
-    any resolvent has a condition number above 1e12 or a non-finite one.
+    A^T is the plain transpose, not the conjugate transpose.  A scalar omega
+    gives one 6x6 matrix, an array of n frequencies an (n, 6, 6) stack.  One
+    eigendecomposition A = V L V^-1 serves every frequency (module
+    docstring); when cond(V) exceeds _MODAL_COND_MAX (A close to defective)
+    two partial-pivoted solves per frequency are used instead.
+
+    One RuntimeWarning names the worst-conditioned frequency when any
+    resolvent has a condition number above 1e12 or a non-finite one.  As
+    cond(A + i omega) <= cond(V)^2 max_j|l_j + i omega| / min_j|l_j + i omega|,
+    the modal route computes the exact condition number only where twice
+    that bound reaches 1e12, which gives the same warning.
     """
-    w = np.asarray(omega, dtype=float)[..., None, None]
-    left = A + 1j * w * _I6
-    cond = np.linalg.cond(left).reshape(-1)
-    worst = cond.argmax()    # argmax returns a NaN first: worst
-    if not cond[worst] <= _COND_WARN:
-        warnings.warn(f"ill-conditioned resolvent at omega={w.flat[worst]}: "
-                      f"cond={cond[worst]:.3e}", RuntimeWarning, stacklevel=2)
-    Y = np.linalg.solve(left, D)
+    w = np.asarray(omega, dtype=float)
+    wf = w.reshape(-1)
+    lam, V = np.linalg.eig(A)
+    kappa = np.linalg.cond(V)
+    modal = kappa <= _MODAL_COND_MAX
+    if modal:
+        dist = np.abs(lam + 1j * wf[:, None])
+        # factor 2: roundoff in the eigenvalues and in cond(V); a NaN or an
+        # exactly singular resolvent is checked too
+        safe = 2 * kappa ** 2 * dist.max(axis=1) < _COND_WARN * dist.min(axis=1)
+        check = np.flatnonzero(~safe)
+    else:
+        check = np.arange(wf.size)
+    if check.size:
+        cond = np.linalg.cond(A + 1j * wf[check, None, None] * _I6)
+        k = cond.argmax()    # argmax returns a NaN first: worst
+        if not cond[k] <= _COND_WARN:
+            warnings.warn(f"ill-conditioned resolvent at omega={wf[check[k]]}: "
+                          f"cond={cond[k]:.3e}", RuntimeWarning, stacklevel=2)
+    if modal:
+        if not dist.all():    # as the solves, refuse an exactly singular one
+            raise np.linalg.LinAlgError("Singular matrix")
+        Vinv = np.linalg.inv(V)
+        shift = 1j * w[..., None]
+        G = (Vinv @ D @ Vinv.T) / ((lam + shift)[..., :, None]
+                                   * (lam - shift)[..., None, :])
+        return V @ G @ V.T
+    w = w[..., None, None]
+    Y = np.linalg.solve(A + 1j * w * _I6, D)
     # S = Y (A^T - i omega)^-1, computed as a solve against the transpose.
     return np.linalg.solve(A - 1j * w * _I6, Y.mT).mT
 
@@ -178,7 +221,7 @@ def spectrum_grid(p: SystemParams, dd: DriftDiffusion,
     """Spectra over a frequency grid (default grid when omegas is None).
 
     A scalar omega gives the spectra at that one frequency.  All frequencies
-    are solved as one stack.  The output spectrum transforms the intracavity
+    are evaluated as one stack.  The output spectrum transforms the intracavity
     one to the quadrature basis, symmetrizes, scales by the mirror couplings
     and adds the vacuum floor.  It must be real; residual imaginary parts
     above tolerance signal an upstream bug and raise NonHermitianResidue.

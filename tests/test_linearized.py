@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harmoniccascade import (
     REGIME_PRESETS,
@@ -14,6 +16,7 @@ from harmoniccascade import (
     default_omega_grid,
     intracavity_spectrum,
     lyapunov_covariance,
+    require_steady_state,
     semiclassical_derivative,
     spectrum_grid,
     stability_eigenvalues,
@@ -36,6 +39,10 @@ EIGENVALUES = {
         1.6035293941890618 - 0.7806715759435202j,
         1.6035293941890618 + 0.7806715759435202j],
 }
+
+
+# Self-pulsing thresholds of the presets.
+THRESHOLDS = {1: 230.4, 2: 896.0}
 
 
 def _fd_jacobian(p, ss, h=1e-7):
@@ -121,13 +128,114 @@ def test_instability_above_threshold():
     assert not dd.is_stable()
 
 
-def test_intracavity_spectrum_matches_direct_inverse(dd1):
-    A, D = dd1.a_matrix, dd1.d_matrix
-    for w in (0.0, 0.731, -4.2):
-        S = intracavity_spectrum(A, D, w)
-        left = np.linalg.inv(A + 1j * w * np.eye(6))
-        right = np.linalg.inv(A.T - 1j * w * np.eye(6))
-        np.testing.assert_allclose(S, left @ D @ right, atol=1e-12)
+@pytest.fixture
+def cond_calls(monkeypatch):
+    """Frequency counts of the resolvent stacks passed to np.linalg.cond."""
+    calls = []
+    cond = np.linalg.cond
+
+    def spy(x, *args):
+        if np.ndim(x) == 3:    # a single 6x6 matrix is cond(V)
+            calls.append(len(x))
+        return cond(x, *args)
+
+    monkeypatch.setattr(np.linalg, "cond", spy)
+    return calls
+
+
+def _two_solves(A, D, w):
+    """(A + i w)^-1 D (A^T - i w)^-1 for each w, by two linear solves."""
+    shift = 1j * np.asarray(w)[:, None, None] * np.eye(6)
+    Y = np.linalg.solve(A + shift, D)
+    return np.linalg.solve(A - shift, Y.mT).mT
+
+
+@given(regime=st.sampled_from([1, 2]),
+       frac=st.floats(0.02, 0.97),
+       phase=st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)),
+       omegas=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=8))
+@example(regime=1, frac=105 / 230.4, phase=0.0, omegas=[0.0, 0.731, 4.2])
+@settings(max_examples=30, deadline=None)
+def test_intracavity_spectrum_matches_direct_inverse(regime, frac, phase, omegas):
+    # Over the stable branch of both presets the modal spectrum equals the
+    # two-solve resolvent product; the output spectra are even in omega for a
+    # real pump and respect the uncertainty bound.
+    p = replace(REGIME_PRESETS[regime],
+                epsilon=frac * THRESHOLDS[regime] * np.exp(1j * phase))
+    dd = DriftDiffusion.from_steady_state(p, require_steady_state(p).state)
+    w = np.concatenate([-np.array(omegas), omegas])
+    S = intracavity_spectrum(dd.a_matrix, dd.d_matrix, w)
+    ref = _two_solves(dd.a_matrix, dd.d_matrix, w)
+    err = np.abs(S - ref).max(axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(1, 2)))
+    out = spectrum_grid(p, dd, w).s_quad
+    if phase == 0.0:
+        n = len(omegas)
+        assert np.abs(out.matrix[:n] - out.matrix[n:]).max() < 1e-10
+    assert out.uncertainty_products().min() >= 1.0 - 1e-9
+
+
+def test_near_defective_drift_takes_two_solves(cond_calls):
+    # A Jordan block split by 1e-10 has nearly parallel eigenvectors
+    # (cond(V) ~ 1e10); the modal route would lose every digit there.
+    A = np.diag([1.0, 1.0 + 1e-10, 2.0, 3.0, 4.0, 5.0]).astype(complex)
+    A[0, 1] = 1.0
+    D = np.diag([1.0, -2.0, 3.0, 0.5, 0.0, 0.0]).astype(complex)
+    D[0, 2] = D[2, 0] = 0.3
+    w = np.array([0.0, 0.7, -3.0])
+    S = intracavity_spectrum(A, D, w)
+    for k, wk in enumerate(w):
+        ref = (np.linalg.inv(A + 1j * wk * np.eye(6)) @ D
+               @ np.linalg.inv(A.T - 1j * wk * np.eye(6)))
+        assert np.abs(S[k] - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the fallback checks the condition number at every frequency
+    assert cond_calls == [3]
+
+
+def test_resolvent_warning_sees_non_normal_drift(cond_calls):
+    # Eigenvalue distances alone bound cond(A + i omega) by 6.1e11 at
+    # omega = 0.5; the non-normal V (cond 42) lifts it to 2.2e12.
+    V = np.eye(6) + 2.0 * np.triu(np.ones((6, 6)), 1)
+    lam = [1e-11 - 0.5j, 1.0, 1.5, 2.0, 2.5, 3.0]
+    A = V @ np.diag(lam) @ np.linalg.inv(V)
+    D = np.eye(6, dtype=complex)
+    w = np.linspace(-1.0, 1.0, 5)
+    cond = np.linalg.cond(A + 1j * w[:, None, None] * np.eye(6))
+    k = cond.argmax()
+    assert k == 3 and np.sum(cond > 1e12) == 1
+    cond_calls.clear()
+    with pytest.warns(RuntimeWarning) as record:
+        intracavity_spectrum(A, D, w)
+    assert len(record) == 1
+    assert str(record[0].message) == (
+        f"ill-conditioned resolvent at omega={w[k]}: cond={cond[k]:.3e}")
+    # only the suspect frequency got the exact check
+    assert cond_calls == [1]
+
+
+def test_singular_or_non_finite_input_raises():
+    # a NaN frequency counts as suspect, and its exact check cannot converge
+    A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).astype(complex)
+    D = np.eye(6, dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        intracavity_spectrum(A, D, np.array([0.0, np.nan, 1.0]))
+    # an exactly singular resolvent warns, then raises as a solve would
+    A[0, 0] = 1j
+    with pytest.warns(RuntimeWarning) as record:
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            intracavity_spectrum(A, D, np.array([-1.0, 0.0]))
+    assert [str(r.message) for r in record] == [
+        "ill-conditioned resolvent at omega=-1.0: cond=inf"]
+    A[0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        intracavity_spectrum(A, D, 0.0)
+
+
+@pytest.mark.parametrize("regime", [1, 2])
+def test_default_grid_needs_no_exact_conditioning(regime, request, cond_calls):
+    dd = request.getfixturevalue(f"dd{regime}")
+    spectrum_grid(REGIME_PRESETS[regime], dd)
+    assert cond_calls == []
 
 
 def test_ill_conditioned_resolvent_warns():
