@@ -29,7 +29,7 @@ from .linearized import DriftDiffusion, spectrum_grid
 from .model import NonPositiveRate, SystemParams, validate_params
 from .semiclassical import (NoThresholdInRange, NotStationary,
                             pulsing_threshold, require_steady_state)
-from .stochastic import ExcessiveDivergence, run_ensemble
+from .stochastic import ExcessiveDivergence, run_ensemble, step_count
 
 __all__ = [
     "MODES",
@@ -101,15 +101,16 @@ class RunConfig:
                               f"choose one of {', '.join(MODES)}")
         if self.regime not in (None, *REGIME_PRESETS):
             raise ConfigParse("regime must be 1 or 2")
-        if not np.isfinite([self.omega_min, self.omega_max, self.dt,
-                            self.t_end]).all():
-            raise ConfigParse("omega range, dt and t_end must be finite")
+        if not np.isfinite([self.omega_min, self.omega_max]).all():
+            raise ConfigParse("omega range must be finite")
         if not self.omega_min < self.omega_max:
             raise ConfigParse("omega_min must be below omega_max")
         if self.omega_steps < 2:
             raise ConfigParse("omega_steps must be at least 2")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ConfigParse("dt and t_end must be positive")
+        try:
+            step_count(self.dt, self.t_end)
+        except ValueError as exc:
+            raise ConfigParse(str(exc)) from exc
         if self.n_traj < 1:
             raise ConfigParse("n_traj must be at least 1")
         if self.gnuplot and self.mode == "stochastic":

@@ -265,7 +265,9 @@ def test_non_finite_pump_exit_code(tmp_path, capsys):
 def test_parse_failure_exit_code(tmp_path, capsys):
     for args in (["orbit"], ["spectra", "--omega-range", "0:inf:5"],
                  ["stochastic", "--dt", "nan"],
-                 ["stochastic", "--t-end", "inf"]):
+                 ["stochastic", "--t-end", "inf"],
+                 ["stochastic", "--dt", "inf"],
+                 ["stochastic", "--dt", "1", "--t-end", "0.4"]):
         assert main(args + ["--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 

@@ -8,6 +8,8 @@ Standardized deviations (z-scores) are bounded at the 3-sigma level; every
 seed below is fixed, so the suite is deterministic despite the statistics.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from harmoniccascade import (
     semiclassical_derivative,
     step_trajectory,
 )
+from harmoniccascade import stochastic
 from harmoniccascade.stochastic import (
     ExcessiveDivergence,
     NonFiniteError,
@@ -149,6 +152,12 @@ def test_run_ensemble_input_validation(regime1):
         run_ensemble(regime1, t_end=-1.0)
     with pytest.raises(ValueError):
         run_ensemble(regime1, n_traj=0)
+    # Settings that give no step at all, or no finite step count.
+    for dt, t_end in ((1.0, 0.4), (1.0, 0.5), (np.inf, 1.0), (np.nan, 1.0),
+                      (1e-3, np.inf), (1e-3, np.nan), (5e-324, 1.0)):
+        with pytest.raises(ValueError):
+            run_ensemble(regime1, dt=dt, t_end=t_end, n_traj=2)
+    assert run_ensemble(regime1, dt=1.0, t_end=0.6, n_traj=2).t_grid[-1] == 1.0
 
 
 def test_divergence_budget_enforced():
@@ -168,6 +177,85 @@ def test_total_divergence_raises_even_when_not_strict():
     p = SystemParams(0.5, 2.0, 105.0, 1.0, 0.5, 0.5)
     with pytest.raises(ExcessiveDivergence):
         run_ensemble(p, dt=1e-2, t_end=3.0, n_traj=8, seed=0, strict=False)
+
+
+class _DrawLog:
+    """A generator that records the thread making each of its draws."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self.threads: list[int] = []
+
+    def standard_normal(self, shape):
+        self.threads.append(threading.get_ident())
+        return self.rng.standard_normal(shape)
+
+
+@pytest.fixture
+def noise_path(monkeypatch):
+    """Select how run_ensemble draws its noise; returns the run's draw log.
+
+    Pipelined runs set the width constant to one trajectory and report two
+    usable cores, so a single-core host takes that path too.
+    """
+    def select(pipelined: bool) -> _DrawLog:
+        log = _DrawLog(None)
+
+        def logged_rng(seed):
+            log.rng = make_rng(seed)
+            return log
+
+        monkeypatch.setattr(stochastic, "make_rng", logged_rng)
+        monkeypatch.setattr(stochastic, "_PIPELINE_MIN_TRAJ",
+                            1 if pipelined else 10**9)
+        monkeypatch.setattr(stochastic, "_usable_cores", lambda: 2)
+        return log
+
+    return select
+
+
+_MOMENT_FIELDS = ("t_grid", "means", "means_stderr", "second_doubled",
+                  "second_doubled_stderr", "fluct_cov", "fluct_cov_stderr")
+
+
+@pytest.mark.parametrize("case", ["mid_run_samples", "divergence_budget"])
+def test_serial_and_pipelined_noise_agree_bit_for_bit(case, regime1,
+                                                      noise_path):
+    if case == "mid_run_samples":
+        p = regime1
+        kw = dict(dt=1e-3, t_end=0.5, n_traj=64, seed=9,
+                  sample_times=[0.0371, 0.25, 0.4999])
+    else:  # the setup of test_divergence_budget_enforced
+        p = SystemParams(0.06, 0.24, 105.0, 1.0, 0.5, 0.5)
+        kw = dict(dt=1e-2, t_end=5.0, n_traj=200, seed=3, strict=False)
+    n_steps = stochastic.step_count(kw["dt"], kw["t_end"])
+    runs = {}
+    for pipelined in (False, True):
+        log = noise_path(pipelined)
+        runs[pipelined] = run_ensemble(p, **kw)
+        assert len(log.threads) == n_steps
+        on_main = [t == threading.get_ident() for t in log.threads]
+        assert not any(on_main) if pipelined else all(on_main)
+    serial, pipelined = runs[False], runs[True]
+    for name in _MOMENT_FIELDS:
+        np.testing.assert_array_equal(getattr(serial, name),
+                                      getattr(pipelined, name))
+    assert serial.divergent == pipelined.divergent
+    if case == "divergence_budget":
+        assert pipelined.divergent == 31
+
+
+def test_noise_worker_does_not_outlive_run(noise_path):
+    before = threading.active_count()
+    log = noise_path(pipelined=True)
+    p = SystemParams(0.5, 2.0, 105.0, 1.0, 0.5, 0.5)
+    # the setup of test_total_divergence_raises_even_when_not_strict
+    with pytest.raises(ExcessiveDivergence):
+        run_ensemble(p, dt=1e-2, t_end=3.0, n_traj=8, seed=0, strict=False)
+    assert log.threads and threading.get_ident() not in log.threads
+    assert threading.active_count() == before
+    run_ensemble(p, dt=1e-2, t_end=0.05, n_traj=8, seed=0)
+    assert threading.active_count() == before
 
 
 def test_means_carry_normal_ordering_shift(regime1, ss1, dd1, lyap1,
