@@ -13,24 +13,23 @@ beyond a hard cap are classified as divergent and excluded from averages
 rather than silently integrated on.
 
 Reproducibility contract: the generator is counter-based (Philox keyed by
-the seed) and exactly one (4, n_traj) block of standard normals is drawn per
+the seed) and the run consumes one (4, n_traj) block of standard normals per
 time step, rows ordered as the noises on (alpha_1, alpha_1_plus, alpha_2,
 alpha_2_plus).  Identical seed and settings give bit-identical results.
-Ensembles of at least _PIPELINE_MIN_TRAJ trajectories, on a host with two or
-more usable cores, draw each step's block ahead of time on one worker thread
-while the main thread integrates the current step.  Only that thread calls
-the generator, with the same calls in the same order as the serial path, so
-the stream and every result are unchanged.
+Blocks are drawn _CHUNK_STEPS steps per generator call, which yields the
+same stream as one call per step.  Ensembles of at least _PIPELINE_MIN_TRAJ
+trajectories, on a host with two or more usable cores, draw the next chunk
+on one worker thread while the main thread integrates the current one.
+Only that thread calls the generator, with the same calls in the same order
+as the serial path, so the stream and every result are unchanged.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -51,20 +50,23 @@ __all__ = [
 _AMPLITUDE_CAP = 1e6
 # Fraction of divergent trajectories above which results are unreliable.
 _DIVERGENCE_BUDGET = 0.01
-# Ensemble width from which the noise blocks are drawn on a worker thread.
-# Handing blocks to and from the thread costs about the same at any width,
-# while the draw it hides grows with the width (Philox fills the block
-# without the GIL, and a wide step's ufuncs release it too).  Medians of 7
+# Ensemble width from which the noise is drawn on a worker thread.  Handing
+# a chunk to and from the thread costs about the same at any width, while
+# the draw it hides grows with the width (Philox fills the chunk without
+# the GIL, and a wide step's ufuncs release it too).  Medians of 6
 # alternating runs per width, regime 1, 2-core host, pipelined against
-# serial: 463 vs 416 us per step at 1000 trajectories, 482 vs 564 at 1500
-# (minimum 450 vs 433), 517 vs 581 at 2000, 917 vs 1017 at 3000.  At 300 a
-# pipelined step takes twice as long.
-_PIPELINE_MIN_TRAJ = 2000
-# Blocks queued on the worker ahead of the step being integrated.  With one
-# the worker sleeps after each block until the main thread asks for the
-# next; with two it goes straight on.  At 10^4 trajectories (9 alternating
-# runs) a step took 3.29 ms with one and 2.99 ms with two, 3.73 ms serially.
-_DRAW_AHEAD = 2
+# serial in scaled us per step: 129 vs 95 at 300 trajectories, 165 vs 122
+# at 500, 155 vs 157 at 700, 186 vs 214 at 1000, 361 vs 480 at 2000.
+_PIPELINE_MIN_TRAJ = 1000
+# Steps of noise drawn by one generator call, as one (m, 4, n_traj) array.
+# The generator keeps no state between calls but its Philox counter, so a
+# chunk holds exactly the blocks that m calls of (4, n_traj) would return.
+# A block per call woke the worker at every step, and each late wake-up on
+# a shared host stalled the main thread.  Eight alternating runs of the
+# 10^4-trajectory benchmark workload on a 2-core host: throughput quartiles
+# spread by 13% of the median drawing per step, 10% drawing 8 steps per
+# call, at equal medians.  Two 8-step buffers take 5 MB at 10^4 trajectories.
+_CHUNK_STEPS = 8
 
 
 class NonFiniteError(RuntimeError):
@@ -108,23 +110,32 @@ def _usable_cores() -> int:
 def _noise_blocks(rng: np.random.Generator, n_traj: int, n_steps: int):
     """The run's n_steps (4, n_traj) standard-normal blocks, in stream order.
 
-    Wide ensembles on a multi-core host draw them _DRAW_AHEAD steps ahead on
-    one worker thread, which is joined on exit, also when the caller raises.
+    They are drawn _CHUNK_STEPS steps per generator call into reused
+    buffers, so a block is valid only until the next one is taken.  Wide
+    ensembles on a multi-core host fill one buffer on a worker thread while
+    the caller works through the other; the thread is joined on exit, also
+    when the caller raises.
     """
-    def draw() -> np.ndarray:
-        return rng.standard_normal((4, n_traj))
+    sizes = [min(_CHUNK_STEPS, n_steps - start)
+             for start in range(0, n_steps, _CHUNK_STEPS)]
+    pipelined = n_traj >= _PIPELINE_MIN_TRAJ and _usable_cores() >= 2
+    buffers = np.empty((2 if pipelined else 1, _CHUNK_STEPS, 4, n_traj))
 
-    if n_traj < _PIPELINE_MIN_TRAJ or _usable_cores() < 2:
-        yield (draw() for _ in range(n_steps))
+    def fill(c: int) -> np.ndarray:
+        return rng.standard_normal(out=buffers[c % len(buffers), :sizes[c]])
+
+    if not pipelined:
+        yield (block for c in range(len(sizes)) for block in fill(c))
         return
     with ThreadPoolExecutor(max_workers=1) as worker:
         def ahead():
-            submitted = (worker.submit(draw) for _ in range(n_steps))
-            pending = deque(islice(submitted, _DRAW_AHEAD))
-            while pending:
-                block = pending.popleft().result()
-                pending.extend(islice(submitted, 1))
-                yield block
+            pending = worker.submit(fill, 0)
+            for c in range(len(sizes)):
+                chunk = pending.result()
+                if c + 1 < len(sizes):
+                    # into the buffer of chunk c - 1, which is used up
+                    pending = worker.submit(fill, c + 1)
+                yield from chunk
 
         yield ahead()
 

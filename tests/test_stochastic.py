@@ -186,9 +186,9 @@ class _DrawLog:
         self.rng = rng
         self.threads: list[int] = []
 
-    def standard_normal(self, shape):
+    def standard_normal(self, *args, **kwargs):
         self.threads.append(threading.get_ident())
-        return self.rng.standard_normal(shape)
+        return self.rng.standard_normal(*args, **kwargs)
 
 
 @pytest.fixture
@@ -233,7 +233,7 @@ def test_serial_and_pipelined_noise_agree_bit_for_bit(case, regime1,
     for pipelined in (False, True):
         log = noise_path(pipelined)
         runs[pipelined] = run_ensemble(p, **kw)
-        assert len(log.threads) == n_steps
+        assert len(log.threads) == -(-n_steps // stochastic._CHUNK_STEPS)
         on_main = [t == threading.get_ident() for t in log.threads]
         assert not any(on_main) if pipelined else all(on_main)
     serial, pipelined = runs[False], runs[True]
@@ -243,6 +243,21 @@ def test_serial_and_pipelined_noise_agree_bit_for_bit(case, regime1,
     assert serial.divergent == pipelined.divergent
     if case == "divergence_budget":
         assert pipelined.divergent == 31
+
+
+@pytest.mark.parametrize("pipelined", [False, True])
+@pytest.mark.parametrize("n_steps", [1, 8, 21])
+def test_noise_chunks_give_one_block_per_step_stream(pipelined, n_steps,
+                                                     noise_path):
+    # Drawing several steps per generator call must return exactly the
+    # blocks of one (4, n_traj) call per step, also for a short last chunk.
+    noise_path(pipelined)
+    with stochastic._noise_blocks(make_rng(21), 5, n_steps) as blocks:
+        got = [block.copy() for block in blocks]
+    ref = make_rng(21)
+    assert len(got) == n_steps
+    for block in got:
+        np.testing.assert_array_equal(block, ref.standard_normal((4, 5)))
 
 
 def test_noise_worker_does_not_outlive_run(noise_path):
