@@ -2,9 +2,9 @@
 
 Both built-in parameter sets drive the fundamental hard enough that a few
 percent of the pump ends up two octaves up.  The steady state is found twice,
-by root-finding on the algebraic system (checked for stability) and by
-relaxing the equations of motion from the vacuum, and the two answers agree
-to solver precision.
+in closed form from the algebraic system (one scalar root, checked for
+stability) and by relaxing the equations of motion from the vacuum, and the
+two answers agree to solver precision.
 """
 
 import numpy as np

@@ -2,10 +2,11 @@
 
 Pushing the pump up, a conjugate eigenvalue pair of the drift matrix crosses
 into the left half plane and the stationary state gives way to a limit
-cycle.  The crossing is located by continuation plus bisection on the
-eigenvalues.  Just above it, the steady-state solver refuses the root it
-finds and names the critical pair with its Hopf frequency; acceptance
-criterion 8 confirms the onset by brute-force integration.
+cycle.  The stationary point is unique and known in closed form past the
+crossing too, so a scan plus bisection on the eigenvalues locates it.  Just
+above it, the steady-state solver refuses that point and names the critical
+pair with its Hopf frequency; acceptance criterion 8 confirms the onset by
+brute-force integration.
 """
 
 from dataclasses import replace

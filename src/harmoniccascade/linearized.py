@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .model import (FieldState, NonHermitianResidue, QuadCovariance,
                     SystemParams, noise_variances)
@@ -250,14 +249,11 @@ def lyapunov_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """
     A = np.asarray(A)
     D = np.asarray(D)
-    if np.isrealobj(A) and np.isrealobj(D) or (
-            np.abs(A.imag).max() == 0 and np.abs(D.imag).max() == 0):
-        C = solve_continuous_lyapunov(A.real, D.real)
-    else:
-        # Complex steady state pairs C with the plain transpose, which the
-        # Hermitian-convention solver cannot express; solve the 36x36 system.
-        K = np.kron(_I6, A) + np.kron(A, _I6)
-        C = np.linalg.solve(K, D.flatten(order="F")).reshape((6, 6), order="F")
+    # A complex steady state pairs C with the plain transpose, which
+    # Hermitian-convention solvers cannot express; the 36x36 system covers
+    # real and complex states alike.
+    K = np.kron(_I6, A) + np.kron(A, _I6)
+    C = np.linalg.solve(K, D.flatten(order="F")).reshape((6, 6), order="F")
     resid = np.abs(A @ C + C @ A.T - D).max()
     if resid > 1e-10 * max(1.0, float(np.abs(D).max())):
         raise RuntimeError(f"Lyapunov solve residual {resid:.3e}")

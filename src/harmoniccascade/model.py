@@ -108,7 +108,7 @@ def doubled_drift(a, b, p: SystemParams) -> tuple:
     triple of complex scalars or a (3, n) array whose rows hold a batch of
     trajectories.  Returns (f1, f2, f3, g1, g2, g3), the drifts of a1..a3
     and b1..b3.  This is the one definition of the equations of motion: the
-    ODE, the root-finder and the stochastic ensemble all integrate it.
+    ODE and the ensemble integrate it; stationary points are checked on it.
     """
     a1, a2, a3 = a
     b1, b2, b3 = b
@@ -222,6 +222,8 @@ class QuadCovariance:
     def variance(self, label: str, mode: int) -> float | np.ndarray:
         """V(X_mode) for label 'X', V(Y_mode) for label 'Y'; over omega
         for a stack."""
+        if label not in ("X", "Y"):
+            raise ValueError(f"label must be 'X' or 'Y', got {label!r}")
         idx = quad_index_x(mode) if label == "X" else quad_index_y(mode)
         return self.matrix[..., idx, idx]
 

@@ -2,21 +2,23 @@
 
 The deterministic limit of the doubled-phase-space equations closes on the
 classical manifold alpha_plus = conj(alpha), leaving three complex ODEs.
-Steady states come from algebraic root-finding, seeded from the lossy-cavity
-pump response, and count as stationary only when every eigenvalue of the
-drift matrix there has a positive real part; the same root plus eigenvalues
-track the stationary branch past the instability.  Forward integration from
-the vacuum, which can only settle onto a stable branch, is kept as an
-independent oracle that selects the basin.
+Their stationary equations reduce to one strictly increasing scalar equation,
+so every parameter set has exactly one stationary point, found in closed form
+up to one bracketed scalar root.  It counts as stationary only when every
+eigenvalue of the drift matrix there has a positive real part; the same point
+plus eigenvalues tracks the branch past the instability.  Forward integration
+from the vacuum, which can only settle onto a stable branch, is kept as an
+independent oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import root
+from scipy.optimize import brentq
 
 from .linearized import build_drift
 from .model import FieldState, SystemParams, doubled_drift, validate_params
@@ -44,7 +46,7 @@ _STATIONARY_TOL = 1e-12
 
 class NotStationary(RuntimeError):
     """No stable stationary state: self-pulsing, an unstable real direction,
-    or no root at all."""
+    or a drift residual above tolerance."""
 
 
 class IntegrationFailure(RuntimeError):
@@ -93,16 +95,9 @@ def _classical_rhs(t, y, p: SystemParams):
     return [f1.real, f1.imag, f2.real, f2.imag, f3.real, f3.imag]
 
 
-def _residual_of(y, p: SystemParams) -> float:
-    f = _classical_rhs(0.0, y, p)
-    return float(np.abs(np.asarray(f[0::2]) + 1j * np.asarray(f[1::2])).max())
-
-
-def _pack(state: FieldState) -> np.ndarray:
-    y = np.empty(6)
-    y[0::2] = state.alpha.real
-    y[1::2] = state.alpha.imag
-    return y
+def _residual_of(state: FieldState, p: SystemParams) -> float:
+    f = doubled_drift(state.alpha, state.alpha_plus, p)
+    return float(np.abs(f[:3]).max())
 
 
 def _unpack(y) -> FieldState:
@@ -130,7 +125,7 @@ def find_steady_state(p: SystemParams,
     if p.epsilon != 0:
         y[1] = 1e-8
     t = 0.0
-    res = _residual_of(y, p)
+    res = _residual_of(_unpack(y), p)
     chunk = 25.0
     while res > _STATIONARY_TOL and t < t_max:
         t_next = min(t + chunk, t_max)
@@ -142,19 +137,18 @@ def find_steady_state(p: SystemParams,
             raise IntegrationFailure("non-finite state during integration")
         y = sol.y[:, -1]
         t = t_next
-        res = _residual_of(y, p)
+        res = _residual_of(_unpack(y), p)
     return SteadyStateResult(state=_unpack(y), residual=res,
                              converged=res <= _STATIONARY_TOL)
 
 
 def require_steady_state(p: SystemParams) -> SteadyStateResult:
-    """The stable stationary state: algebraic root plus a stability check.
+    """The stable stationary state: the closed form plus a stability check.
 
-    The root is seeded from the lossy-cavity guess.  It is returned only
-    when every drift eigenvalue has a positive real part and its residual
-    is at most 1e-12.  Otherwise NotStationary names the least stable
-    eigenvalue: one of a complex pair means the self-pulsing regime, with
-    the Hopf frequency |Im lambda|.
+    The stationary point is returned only when every drift eigenvalue has a
+    positive real part and its residual is at most 1e-12.  Otherwise
+    NotStationary names the least stable eigenvalue: one of a complex pair
+    means the self-pulsing regime, with the Hopf frequency |Im lambda|.
     """
     state, eigenvalues = _stationary_point(p)
     lam = eigenvalues[np.argmin(eigenvalues.real)]
@@ -168,50 +162,59 @@ def require_steady_state(p: SystemParams) -> SteadyStateResult:
         raise NotStationary(
             f"unstable stationary point: real drift eigenvalue "
             f"{lam.real:.4g}")
-    residual = _residual_of(_pack(state), p)
+    residual = _residual_of(state, p)
     if residual > _STATIONARY_TOL:
         raise NotStationary(f"root residual {residual:.3e} above "
                             f"{_STATIONARY_TOL:g}")
     return SteadyStateResult(state=state, residual=residual, converged=True)
 
 
-def algebraic_steady_state(p: SystemParams,
-                           guess: FieldState | None = None) -> FieldState:
-    """Stationary point by multidimensional root-finding.
+def algebraic_steady_state(p: SystemParams) -> FieldState:
+    """The one stationary point on the classical manifold, stable or not.
 
-    Stable or not; used by require_steady_state and for continuation onto
-    the unstable branch.  The default guess is the lossy-cavity pump
-    response with empty harmonics.  Raises NotStationary when no root is
-    found.
+    With t = kappa2 |alpha2| / sqrt(2 gamma3), stationarity of modes 3, 2
+    and 1 gives alpha3 = -kappa2 alpha2^2 / 2 gamma3,
+    alpha2 = -kappa1 alpha1^2 / 2 (gamma2 + t^2),
+    alpha1 = epsilon / (gamma1 + beta t) and
+
+        |epsilon| = sqrt(q t (gamma2 + t^2)) (gamma1 + beta t),
+
+    with q = sqrt(8 gamma3) / (kappa1 kappa2) and
+    beta = kappa1 sqrt(2 gamma3) / kappa2.  The right side rises strictly
+    from 0, so one bracketed root in t gives the only stationary point, with
+    finite amplitudes for every finite pump.
     """
     p = validate_params(p)
-    if guess is None:
-        y0 = np.zeros(6)
-        y0[0] = (p.epsilon / p.gamma1).real
-        y0[1] = (p.epsilon / p.gamma1).imag
-    else:
-        y0 = _pack(guess)
+    # Python floats: their products overflow to inf without a warning.
+    k1, k2, g1, g2, g3 = map(float, (p.kappa1, p.kappa2, p.gamma1, p.gamma2,
+                                     p.gamma3))
+    q = math.sqrt(8.0 * g3) / (k1 * k2)
+    beta = k1 * math.sqrt(2.0 * g3) / k2
+    e = complex(p.epsilon)
+    pump = abs(e)
 
-    def rhs(y):
-        return _classical_rhs(0.0, y, p)
+    def excess(t: float) -> float:
+        return (math.sqrt(q * t) * math.hypot(math.sqrt(g2), t)
+                * (g1 + beta * t) - pump)
 
-    sol = root(rhs, y0, method="hybr", tol=1e-13)
-    if _residual_of(sol.x, p) > _STATIONARY_TOL:
-        # hybr can stop a few ulps short of the residual the integration
-        # reaches; a restart from there polishes the root.
-        sol = root(rhs, sol.x, method="hybr", tol=1e-13)
-    # hybr reports "not making good progress" when seeded at (or within
-    # rounding of) the root itself; judge by the residual, not the flag.
-    scale = max(1.0, np.abs(sol.x).max())
-    if not sol.success and _residual_of(sol.x, p) > 1e-10 * scale:
-        raise NotStationary(f"root-finder did not converge: {sol.message}")
-    return _unpack(sol.x)
+    # Keeping only the gamma2 gamma1 or only the t^2 beta t part of the
+    # product gives a lower bound that reaches |epsilon| at each of these,
+    # and at twice either clears it by more than roundoff.  Below the
+    # 1e-300 floor, where the first bound underflows, t moves no amplitude.
+    t_hi = 2.0 * min(pump * pump / (q * g2 * g1 * g1),
+                     pump ** 0.4 / (math.sqrt(q) * beta) ** 0.4)
+    t = brentq(excess, 0.0, max(t_hi, 1e-300), xtol=1e-300)
+    a1 = e / (g1 + beta * t)
+    # Negated factors first: the products then keep a real pump's amplitudes
+    # free of negative zeros, and no intermediate overflows.
+    a2 = -k1 * a1 / (2.0 * (g2 + t * t)) * a1
+    a3 = -k2 * a2 / (2.0 * g3) * a2
+    return FieldState.classical([a1, a2, a3])
 
 
-def _stationary_point(p: SystemParams, guess: FieldState | None = None
-                      ) -> tuple[FieldState, np.ndarray]:
-    """Algebraic root and the eigenvalues of the drift matrix there."""
-    state = algebraic_steady_state(p, guess)
+def _stationary_point(p: SystemParams) -> tuple[FieldState, np.ndarray]:
+    """Stationary point and the eigenvalues of the drift matrix there."""
+    state = algebraic_steady_state(p)
     return state, np.linalg.eigvals(build_drift(p, state))
 
 
@@ -219,26 +222,20 @@ def pulsing_threshold(p: SystemParams, eps_range: tuple[float, float],
                       n_steps: int = 33) -> ThresholdResult:
     """Smallest pump at which the stationary branch loses linear stability.
 
-    Scans the pump over eps_range following the stationary branch with the
-    continuation root-finder, then bisects the first stability sign change of
-    min Re eig(A).  Continuation (not integration) is essential above the
-    crossing, where the branch persists but is no longer an attractor.
+    Scans the pump over eps_range, then bisects the first stability sign
+    change of min Re eig(A).  The stationary point is unique and found in
+    closed form, so the scan follows the branch past the crossing, where it
+    persists but is no longer an attractor, with no seeding or continuation.
     """
     p = validate_params(p)
     if not (eps_range[0] < eps_range[1]) or n_steps < 2:
         raise ValueError("eps_range must be increasing and n_steps >= 2")
 
-    def stability(eps: float, seed: FieldState | None) -> tuple[float, FieldState]:
-        ss, ev = _stationary_point(replace(p, epsilon=eps), seed)
-        return float(ev.real.min()), ss
+    def stability(eps: float) -> float:
+        return float(_stationary_point(replace(p, epsilon=eps))[1].real.min())
 
     scan_eps = np.linspace(eps_range[0], eps_range[1], n_steps)
-    scan_stab = np.empty(n_steps)
-    seed = None
-    states: list[FieldState] = []
-    for idx, eps in enumerate(scan_eps):
-        scan_stab[idx], seed = stability(float(eps), seed)
-        states.append(seed)
+    scan_stab = np.array([stability(float(eps)) for eps in scan_eps])
     if scan_stab[0] <= 0:
         raise NoThresholdInRange(
             f"already unstable at eps={scan_eps[0]}; range does not bracket")
@@ -248,16 +245,14 @@ def pulsing_threshold(p: SystemParams, eps_range: tuple[float, float],
             f"stable throughout [{eps_range[0]}, {eps_range[1]}]")
     hi_idx = int(crossing[0])
     lo, hi = float(scan_eps[hi_idx - 1]), float(scan_eps[hi_idx])
-    seed = states[hi_idx - 1]
     for _ in range(80):
-        # Width well inside any scan resolution; tighter brackets run the
-        # root-finder against its own convergence floor for no gain.
+        # Width well inside any scan resolution; tighter brackets only
+        # resolve the eigenvalue sign at roundoff for no gain.
         if hi - lo <= 1e-7 * max(1.0, abs(hi)):
             break
         mid = 0.5 * (lo + hi)
-        s_mid, state_mid = stability(mid, seed)
-        if s_mid > 0:
-            lo, seed = mid, state_mid
+        if stability(mid) > 0:
+            lo = mid
         else:
             hi = mid
     return ThresholdResult(eps_critical=0.5 * (lo + hi), bracket=(lo, hi),

@@ -240,7 +240,8 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
     """Integrate an ensemble and return its moment statistics.
 
     Sampling happens at the step closest to each requested time (default:
-    half, three quarters, and end of the run).  Divergent trajectories are
+    half, three quarters, and end of the run); a time that is not finite or
+    lies outside [0, t_end] raises ValueError.  Divergent trajectories are
     frozen out of all later samples; when more than 1% diverge the result is
     unreliable and strict=True raises ExcessiveDivergence (strict=False
     returns it flagged instead).
@@ -251,6 +252,10 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
         raise ValueError("n_traj must be positive")
     if sample_times is None:
         sample_times = [0.5 * t_end, 0.75 * t_end, t_end]
+    for ts in sample_times:
+        if not 0 <= ts <= t_end:
+            raise ValueError(f"sample time {ts} must be finite and lie in "
+                             f"[0, t_end = {t_end}]")
     sample_steps = sorted({min(n_steps, max(1, int(round(ts / dt))))
                            for ts in sample_times})
     t_grid = np.array([s * dt for s in sample_steps])

@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_continuous_lyapunov
 
 from harmoniccascade import (
     REGIME_PRESETS,
@@ -342,10 +343,14 @@ def test_spectrum_integral_recovers_lyapunov(regime, request):
     assert np.abs(integral - C).max() < 1e-3
 
 
-def test_lyapunov_complex_path_agrees_with_real_path(dd1):
+def test_lyapunov_matches_scipy_oracle_and_phase_gauge(dd1):
     C_real = lyapunov_covariance(dd1.a_matrix, dd1.d_matrix)
-    # phase-rotated pump: steady state leaves the real axis and the solver
-    # must fall back to the 36x36 linear system
+    # On the real preset state scipy's Hermitian-convention solver applies
+    # and serves as the oracle for the 36x36 linear system.
+    assert np.isrealobj(dd1.a_matrix) or not dd1.a_matrix.imag.any()
+    C_scipy = solve_continuous_lyapunov(dd1.a_matrix.real, dd1.d_matrix.real)
+    np.testing.assert_allclose(C_real, C_scipy, rtol=1e-12, atol=1e-12)
+    # phase-rotated pump: the steady state leaves the real axis
     p = replace(REGIME_PRESETS[1], epsilon=105.0 * np.exp(0.3j))
     ss = algebraic_steady_state(p)
     dd = DriftDiffusion.from_steady_state(p, ss)

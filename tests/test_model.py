@@ -125,6 +125,9 @@ def test_quad_covariance_variance_over_a_stack():
     np.testing.assert_array_equal(c.variance("Y", 3), [6.0, 12.0, 18.0])
     np.testing.assert_array_equal(c.uncertainty_products()[:, 1],
                                   c.variance("X", 2) * c.variance("Y", 2))
+    for label in ("x", "y", "P", ""):
+        with pytest.raises(ValueError, match="label"):
+            c.variance(label, 1)
 
 
 def test_public_names_resolve():

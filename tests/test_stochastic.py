@@ -158,6 +158,11 @@ def test_run_ensemble_input_validation(regime1):
         with pytest.raises(ValueError):
             run_ensemble(regime1, dt=dt, t_end=t_end, n_traj=2)
     assert run_ensemble(regime1, dt=1.0, t_end=0.6, n_traj=2).t_grid[-1] == 1.0
+    # Sample times must be finite and inside the run.
+    for ts in (np.inf, -np.inf, np.nan, -0.1, 0.6 + 1e-9):
+        with pytest.raises(ValueError, match="sample time"):
+            run_ensemble(regime1, dt=0.1, t_end=0.6, n_traj=2,
+                         sample_times=[0.3, ts])
 
 
 def test_divergence_budget_enforced():
