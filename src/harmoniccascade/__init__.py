@@ -25,7 +25,6 @@ from .semiclassical import (
     find_steady_state,
     pulsing_threshold,
     require_steady_state,
-    semiclassical_derivative,
 )
 from .linearized import (
     DriftDiffusion,
@@ -36,7 +35,6 @@ from .linearized import (
     intracavity_spectrum,
     lyapunov_covariance,
     spectrum_grid,
-    stability_eigenvalues,
 )
 from .correlations import (
     CorrelationReport,
@@ -54,10 +52,8 @@ from .correlations import (
 from .stochastic import (
     EnsembleMoments,
     ExcessiveDivergence,
-    NonFiniteError,
     make_rng,
     run_ensemble,
-    step_trajectory,
 )
 
 __version__ = "0.1.0"
@@ -75,15 +71,14 @@ __all__ = [
     "NonPositiveRate", "NonHermitianResidue",
     "SteadyStateResult", "ThresholdResult", "NotStationary",
     "IntegrationFailure", "NoThresholdInRange",
-    "semiclassical_derivative", "find_steady_state",
-    "require_steady_state", "algebraic_steady_state", "pulsing_threshold",
+    "find_steady_state", "require_steady_state", "algebraic_steady_state",
+    "pulsing_threshold",
     "DriftDiffusion", "SpectrumResult", "build_drift", "build_diffusion",
-    "stability_eigenvalues", "intracavity_spectrum", "spectrum_grid",
-    "lyapunov_covariance", "default_omega_grid",
+    "intracavity_spectrum", "spectrum_grid", "lyapunov_covariance",
+    "default_omega_grid",
     "CorrelationReport", "GridSummary", "DegenerateVariance", "classify",
     "evaluate_report", "evaluate_grid", "summarize_grid",
     "vlf_pair", "vlf_triple", "obr_inferred", "obr_product",
-    "EnsembleMoments", "ExcessiveDivergence", "NonFiniteError",
-    "make_rng", "run_ensemble", "step_trajectory",
+    "EnsembleMoments", "ExcessiveDivergence", "make_rng", "run_ensemble",
     "REGIME_PRESETS", "__version__",
 ]

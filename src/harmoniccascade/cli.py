@@ -113,6 +113,8 @@ class RunConfig:
             raise ConfigParse(str(exc)) from exc
         if self.n_traj < 1:
             raise ConfigParse("n_traj must be at least 1")
+        if not 0 <= self.seed < 2 ** 128:    # the Philox key range
+            raise ConfigParse("seed must lie in [0, 2**128)")
         if self.gnuplot and self.mode == "stochastic":
             raise ConfigParse("--gnuplot has no plot for stochastic mode")
         try:

@@ -42,7 +42,6 @@ __all__ = [
     "SpectrumResult",
     "build_drift",
     "build_diffusion",
-    "stability_eigenvalues",
     "intracavity_spectrum",
     "spectrum_grid",
     "lyapunov_covariance",
@@ -109,11 +108,10 @@ def build_diffusion(p: SystemParams, ss: FieldState) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DriftDiffusion:
-    """Drift and diffusion matrices bundled with the state they came from."""
+    """Drift and diffusion matrices at one steady state."""
 
     a_matrix: np.ndarray
     d_matrix: np.ndarray
-    steady_state: FieldState
 
     @classmethod
     def from_steady_state(cls, p: SystemParams, ss: FieldState) -> "DriftDiffusion":
@@ -121,22 +119,7 @@ class DriftDiffusion:
         D = build_diffusion(p, ss)
         A.setflags(write=False)
         D.setflags(write=False)
-        return cls(a_matrix=A, d_matrix=D, steady_state=ss)
-
-    def is_stable(self) -> bool:
-        return bool(stability_eigenvalues(self.a_matrix).real.min() > 0)
-
-
-def stability_eigenvalues(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the drift matrix, sorted by real part.
-
-    All real parts positive means the steady state is linearly stable and
-    the stationary spectra below are valid; a crossing to negative real part
-    is the self-pulsing bifurcation.
-    """
-    ev = np.linalg.eigvals(np.asarray(A))
-    order = np.lexsort((ev.imag, ev.real))
-    return ev[order]
+        return cls(a_matrix=A, d_matrix=D)
 
 
 def intracavity_spectrum(A: np.ndarray, D: np.ndarray,

@@ -12,7 +12,7 @@ vacuum variance is 1 and the uncertainty bound is V(X) V(Y) >= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,28 +165,11 @@ class FieldState:
     def vacuum(cls) -> "FieldState":
         return cls.classical(np.zeros(3))
 
-    def is_classical(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.alpha_plus - np.conj(self.alpha)) <= tol))
-
     def doubled(self) -> np.ndarray:
         """Interleaved 6-vector (a1, a1+, a2, a2+, a3, a3+)."""
         out = np.empty(6, dtype=complex)
         out[0::2] = self.alpha
         out[1::2] = self.alpha_plus
-        return out
-
-    @classmethod
-    def from_doubled(cls, v) -> "FieldState":
-        v = np.asarray(v, dtype=complex).reshape(6)
-        return cls(alpha=v[0::2], alpha_plus=v[1::2])
-
-    def mean_quadratures(self) -> np.ndarray:
-        """(X1, Y1, X2, Y2, X3, Y3) means of this state."""
-        x = self.alpha + self.alpha_plus
-        y = -1j * (self.alpha - self.alpha_plus)
-        out = np.empty(6, dtype=complex)
-        out[0::2] = x
-        out[1::2] = y
         return out
 
 
@@ -214,10 +197,6 @@ class QuadCovariance:
             raise NonHermitianResidue(
                 f"asymmetry {np.abs(m - m.mT).max():.3e} exceeds tolerance")
         object.__setattr__(self, "matrix", _frozen(0.5 * (m + m.mT)))
-
-    @classmethod
-    def vacuum(cls, omega: float = 0.0) -> "QuadCovariance":
-        return cls(omega=omega, matrix=np.eye(6))
 
     def variance(self, label: str, mode: int) -> float | np.ndarray:
         """V(X_mode) for label 'X', V(Y_mode) for label 'Y'; over omega

@@ -29,7 +29,6 @@ __all__ = [
     "NotStationary",
     "IntegrationFailure",
     "NoThresholdInRange",
-    "semiclassical_derivative",
     "find_steady_state",
     "require_steady_state",
     "algebraic_steady_state",
@@ -42,6 +41,8 @@ _RTOL = 1e-10
 _ATOL = 1e-12
 # Largest drift residual of a stationary state, on either route.
 _STATIONARY_TOL = 1e-12
+# Evenly spaced pumps of the threshold scan, ends included.
+_SCAN_POINTS = 33
 
 
 class NotStationary(RuntimeError):
@@ -72,17 +73,6 @@ class ThresholdResult:
     bracket: tuple[float, float]
     scan_eps: np.ndarray
     scan_stability: np.ndarray  # min real part of drift eigenvalues per eps
-
-
-def semiclassical_derivative(s: FieldState, p: SystemParams) -> FieldState:
-    """Deterministic drift of the doubled amplitudes.
-
-    Valid off the classical manifold as well (the plus variables evolve under
-    their own equations); on the manifold the plus drift is the conjugate of
-    the plain drift, so classical states stay classical.
-    """
-    f = doubled_drift(s.alpha, s.alpha_plus, p)
-    return FieldState(alpha=f[:3], alpha_plus=f[3:])
 
 
 def _classical_rhs(t, y, p: SystemParams):
@@ -218,23 +208,23 @@ def _stationary_point(p: SystemParams) -> tuple[FieldState, np.ndarray]:
     return state, np.linalg.eigvals(build_drift(p, state))
 
 
-def pulsing_threshold(p: SystemParams, eps_range: tuple[float, float],
-                      n_steps: int = 33) -> ThresholdResult:
+def pulsing_threshold(p: SystemParams,
+                      eps_range: tuple[float, float]) -> ThresholdResult:
     """Smallest pump at which the stationary branch loses linear stability.
 
-    Scans the pump over eps_range, then bisects the first stability sign
+    Scans 33 pumps over eps_range, then bisects the first stability sign
     change of min Re eig(A).  The stationary point is unique and found in
     closed form, so the scan follows the branch past the crossing, where it
     persists but is no longer an attractor, with no seeding or continuation.
     """
     p = validate_params(p)
-    if not (eps_range[0] < eps_range[1]) or n_steps < 2:
-        raise ValueError("eps_range must be increasing and n_steps >= 2")
+    if not eps_range[0] < eps_range[1]:
+        raise ValueError("eps_range must be increasing")
 
     def stability(eps: float) -> float:
         return float(_stationary_point(replace(p, epsilon=eps))[1].real.min())
 
-    scan_eps = np.linspace(eps_range[0], eps_range[1], n_steps)
+    scan_eps = np.linspace(eps_range[0], eps_range[1], _SCAN_POINTS)
     scan_stab = np.array([stability(float(eps)) for eps in scan_eps])
     if scan_stab[0] <= 0:
         raise NoThresholdInRange(

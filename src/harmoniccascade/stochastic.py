@@ -38,11 +38,9 @@ from .model import (FieldState, SystemParams, doubled_drift,
 
 __all__ = [
     "EnsembleMoments",
-    "NonFiniteError",
     "ExcessiveDivergence",
     "make_rng",
     "step_count",
-    "step_trajectory",
     "run_ensemble",
 ]
 
@@ -67,10 +65,6 @@ _PIPELINE_MIN_TRAJ = 1000
 # spread by 13% of the median drawing per step, 10% drawing 8 steps per
 # call, at equal medians.  Two 8-step buffers take 5 MB at 10^4 trajectories.
 _CHUNK_STEPS = 8
-
-
-class NonFiniteError(RuntimeError):
-    """A trajectory left the finite region (positive-P escape)."""
 
 
 class ExcessiveDivergence(RuntimeError):
@@ -155,33 +149,6 @@ def _apply_step(a: np.ndarray, b: np.ndarray, p: SystemParams, dt: float,
     b[0] += nb1
     a[1] += na2
     b[1] += nb2
-
-
-def step_trajectory(s: FieldState, p: SystemParams, dt: float,
-                    rng: np.random.Generator | None = None,
-                    noise: np.ndarray | None = None) -> FieldState:
-    """One Euler-Maruyama step of a single trajectory.
-
-    noise supplies the four standard normals explicitly (zeros reduce the
-    step to deterministic Euler); otherwise they are drawn from rng.  The
-    complex square roots in the noise amplitudes are principal-branch.
-    Raises NonFiniteError when the step escapes the finite region.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    p = validate_params(p)
-    if noise is None:
-        if rng is None:
-            raise ValueError("provide either rng or explicit noise")
-        noise = rng.standard_normal(4)
-    noise = np.asarray(noise, dtype=float).reshape(4, 1)
-    a = np.array(s.alpha, dtype=complex).reshape(3, 1)
-    b = np.array(s.alpha_plus, dtype=complex).reshape(3, 1)
-    _apply_step(a, b, p, dt, noise)
-    out = np.concatenate([a[:, 0], b[:, 0]])
-    if not np.all(np.isfinite(out.view(float))) or np.abs(out).max() > _AMPLITUDE_CAP:
-        raise NonFiniteError("trajectory diverged")
-    return FieldState(alpha=a[:, 0], alpha_plus=b[:, 0])
 
 
 def _mean_and_stderr(values: np.ndarray):

@@ -20,6 +20,7 @@ from harmoniccascade import (
     spectrum_grid,
     summarize_grid,
 )
+from harmoniccascade.model import FieldState, doubled_drift
 
 
 @pytest.fixture(scope="session")
@@ -130,3 +131,27 @@ def first_order_mean_shift(p, a_matrix, cov):
         -0.5 * p.kappa2 * cov[3, 3],
     ])
     return np.linalg.solve(a_matrix, r)
+
+
+def interleaved_drift(v, p):
+    """model.doubled_drift at the interleaved 6-vector v = (a1, a1+, a2, ...),
+    interleaved the same way."""
+    f = doubled_drift(v[0::2], v[1::2], p)
+    return FieldState(alpha=f[:3], alpha_plus=f[3:]).doubled()
+
+
+def fd_jacobian(p, state, h):
+    """Centred differences of model.doubled_drift at a FieldState.
+
+    Rows and columns follow the interleaved doubled basis (a1, a1+, a2, ...).
+    The drift is holomorphic in the six amplitudes, so real steps give the
+    complex derivative.
+    """
+    v0 = state.doubled()
+    jac = np.empty((6, 6), dtype=complex)
+    for col in range(6):
+        step = np.zeros(6)
+        step[col] = h
+        jac[:, col] = (interleaved_drift(v0 + step, p)
+                       - interleaved_drift(v0 - step, p)) / (2 * h)
+    return jac

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import first_order_mean_shift
+from conftest import fd_jacobian, first_order_mean_shift
 from harmoniccascade import (
     REGIME_PRESETS,
     DriftDiffusion,
@@ -23,7 +23,6 @@ from harmoniccascade import (
     find_steady_state,
     pulsing_threshold,
     require_steady_state,
-    semiclassical_derivative,
     spectrum_grid,
     summarize_grid,
 )
@@ -34,7 +33,7 @@ from harmoniccascade.correlations import (
     evaluate_report,
     vlf_pair,
 )
-from harmoniccascade.model import FieldState, SystemParams
+from harmoniccascade.model import SystemParams
 
 
 def _report(num: int, ok: bool, detail: str) -> str:
@@ -110,7 +109,7 @@ def test_criterion_4_regime2_obr_pattern(summary2):
 
 
 def test_criterion_5_vacuum_calibration():
-    vac = QuadCovariance.vacuum()
+    vac = QuadCovariance(omega=0.0, matrix=np.eye(6))
     dev_identity = np.abs(vac.matrix - np.eye(6)).max()
     report = evaluate_report(vac)
     dev_pair = max(abs(v - 4.0) for v in report.v_pair.values())
@@ -123,19 +122,6 @@ def test_criterion_5_vacuum_calibration():
     assert ok, line
 
 
-def _fd_jacobian(p, state, h=1e-6):
-    base = state.doubled()
-    jac = np.empty((6, 6), dtype=complex)
-    for col in range(6):
-        up, dn = base.copy(), base.copy()
-        up[col] += h
-        dn[col] -= h
-        fu = semiclassical_derivative(FieldState.from_doubled(up), p)
-        fd = semiclassical_derivative(FieldState.from_doubled(dn), p)
-        jac[:, col] = (fu.doubled() - fd.doubled()) / (2 * h)
-    return jac
-
-
 def test_criterion_6_oracle_equivalence(flagship_ensemble, ss1, dd1, lyap1,
                                         regime1):
     moments, elapsed = flagship_ensemble
@@ -146,7 +132,7 @@ def test_criterion_6_oracle_equivalence(flagship_ensemble, ss1, dd1, lyap1,
         p = REGIME_PRESETS[regime]
         ss = require_steady_state(p)
         A = build_drift(p, ss.state)
-        jac = _fd_jacobian(p, ss.state)
+        jac = fd_jacobian(p, ss.state, h=1e-6)
         drift_dev = max(drift_dev,
                         float(np.abs(A + jac).max() / np.abs(A).max()))
         ode = find_steady_state(p)

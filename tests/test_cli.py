@@ -90,7 +90,7 @@ def test_grid_always_contains_zero_when_straddling():
         assert grid.tolist() == expected
 
 
-def test_invalid_settings_rejected():
+def test_invalid_settings_rejected(tmp_path, capsys):
     p = REGIME_PRESETS[1]
     with pytest.raises(ConfigParse):
         RunConfig(params=p, mode="spectra", omega_min=2.0, omega_max=1.0)
@@ -101,6 +101,20 @@ def test_invalid_settings_rejected():
     bad = SystemParams(-1e-3, 2e-2, 105.0, 1.0, 0.5, 0.5)
     with pytest.raises(ConfigParse):
         RunConfig(params=bad, mode="steady")
+    # The seed keys a Philox generator, which takes keys in [0, 2**128).
+    assert RunConfig(params=p, mode="stochastic", seed=2**128 - 1).seed > 0
+    for seed in (-1, -3, 10**41, 2**128):
+        with pytest.raises(ConfigParse, match="seed"):
+            RunConfig(params=p, mode="stochastic", seed=seed)
+    cfg_file = tmp_path / "seed.cfg"
+    cfg_file.write_text("seed = -3\n", encoding="utf-8")
+    run = ["stochastic", "--regime", "1", "--n-traj", "4", "--t-end", "0.01",
+           "--out", str(tmp_path)]
+    for extra in (["--seed", "-1"], ["--seed", str(10**41)],
+                  ["--config", str(cfg_file)]):
+        assert main(run + extra) == 2
+        assert "error: seed" in capsys.readouterr().err
+    assert not (tmp_path / "stochastic.csv").exists()
 
 
 def test_config_file_roundtrip(tmp_path):

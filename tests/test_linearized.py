@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
+from conftest import fd_jacobian
 from harmoniccascade import (
     REGIME_PRESETS,
     DriftDiffusion,
@@ -18,9 +19,7 @@ from harmoniccascade import (
     intracavity_spectrum,
     lyapunov_covariance,
     require_steady_state,
-    semiclassical_derivative,
     spectrum_grid,
-    stability_eigenvalues,
 )
 from harmoniccascade.model import quad_index_x, quad_index_y
 
@@ -46,27 +45,6 @@ EIGENVALUES = {
 THRESHOLDS = {1: 230.4, 2: 896.0}
 
 
-def _fd_jacobian(p, ss, h=1e-7):
-    """Centered finite differences of the doubled drift."""
-    v0 = ss.doubled()
-    J = np.zeros((6, 6), dtype=complex)
-    for j in range(6):
-        for part in (1.0, 1j):
-            dv = np.zeros(6, dtype=complex)
-            dv[j] = h * part
-            fp = semiclassical_derivative(FieldState.from_doubled(v0 + dv), p)
-            fm = semiclassical_derivative(FieldState.from_doubled(v0 - dv), p)
-            col = (np.ravel([fp.alpha, fp.alpha_plus], order="F")
-                   - np.ravel([fm.alpha, fm.alpha_plus], order="F")) / (2 * h)
-            if part == 1.0:
-                J[:, j] += 0.5 * col
-            else:
-                # d/dx and d/dy of a polynomial drift combine to the
-                # holomorphic derivative
-                J[:, j] += 0.5 * col / 1j
-    return J
-
-
 def test_default_grid_shape():
     w = default_omega_grid()
     assert w.shape == (801,)
@@ -79,7 +57,7 @@ def test_drift_is_negated_jacobian(regime, request):
     p = REGIME_PRESETS[regime]
     ss = request.getfixturevalue(f"ss{regime}").state
     A = build_drift(p, ss)
-    J = _fd_jacobian(p, ss)
+    J = fd_jacobian(p, ss, h=1e-7)
     scale = np.abs(A).max()
     assert np.abs(A + J).max() / scale < 1e-6
 
@@ -91,7 +69,7 @@ def test_drift_jacobian_holds_off_manifold():
     s = FieldState(alpha=[40.0 + 1j, -10.0, -3.0],
                    alpha_plus=[38.0, -11.0 + 0.5j, -2.5])
     A = build_drift(p, s)
-    J = _fd_jacobian(p, s)
+    J = fd_jacobian(p, s, h=1e-7)
     assert np.abs(A + J).max() / np.abs(A).max() < 1e-6
 
 
@@ -112,21 +90,20 @@ def test_diffusion_structure(regime, request):
 @pytest.mark.parametrize("regime", [1, 2])
 def test_stability_eigenvalues_frozen(regime, request):
     dd = request.getfixturevalue(f"dd{regime}")
-    ev = stability_eigenvalues(dd.a_matrix)
-    assert np.all(np.diff(ev.real) >= -1e-12)    # ordering contract
-    # conjugate-pair ordering flips with roundoff, so match by distance
+    ev = np.linalg.eigvals(dd.a_matrix)
+    # eig returns no fixed order, so match by distance
     pool = list(ev)
     for want in EIGENVALUES[regime]:
         k = int(np.argmin(np.abs(np.asarray(pool) - want)))
         assert abs(pool.pop(k) - want) < 3e-9
-    assert dd.is_stable()
+    assert ev.real.min() > 0
 
 
 def test_instability_above_threshold():
     p = replace(REGIME_PRESETS[1], epsilon=260.0)
     ss = algebraic_steady_state(p)
     dd = DriftDiffusion.from_steady_state(p, ss)
-    assert not dd.is_stable()
+    assert np.linalg.eigvals(dd.a_matrix).real.min() < 0
 
 
 @pytest.fixture
@@ -317,7 +294,7 @@ def test_spectrum_grid_carries_frequencies(regime1, dd1):
     np.testing.assert_array_equal(out[2].s_quad.matrix, one.s_quad.matrix)
     np.testing.assert_array_equal(out[2].s_alpha, one.s_alpha)
     # items are plain dataclasses
-    vac = replace(out[0], s_quad=QuadCovariance.vacuum(-1.0))
+    vac = replace(out[0], s_quad=QuadCovariance(omega=-1.0, matrix=np.eye(6)))
     assert vac.omega == -1.0
     np.testing.assert_array_equal(vac.s_alpha, out.s_alpha[0])
     np.testing.assert_array_equal(vac.s_quad.matrix, np.eye(6))
@@ -331,16 +308,38 @@ def test_lyapunov_solution_solves_the_equation(regime, request):
     assert resid < 1e-10 * max(1.0, np.abs(dd.d_matrix).max())
 
 
+def _whole_line_rule():
+    """Nodes and weights for the integral of f(omega) over the real line.
+
+    omega = tan(theta) maps it onto (-pi/2, pi/2) with no tail cut off; each
+    of 800 equal theta panels takes 8-point Gauss-Legendre.
+    """
+    edges = np.linspace(-np.pi / 2, np.pi / 2, 801)
+    x, w = np.polynomial.legendre.leggauss(8)
+    half = 0.5 * np.diff(edges)[:, None]
+    theta = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * x
+    return np.tan(theta).ravel(), (half * w / np.cos(theta) ** 2).ravel()
+
+
 @pytest.mark.parametrize("regime", [1, 2])
-def test_spectrum_integral_recovers_lyapunov(regime, request):
-    # (1/2pi) integral of S over |omega| <= 200 reproduces the stationary
-    # covariance; the truncated tails cost less than 1e-3
-    dd = request.getfixturevalue(f"dd{regime}")
-    C = request.getfixturevalue(f"lyap{regime}")
-    w = np.linspace(-200.0, 200.0, 8001)
-    vals = intracavity_spectrum(dd.a_matrix, dd.d_matrix, w)
-    integral = np.trapezoid(vals, w, axis=0) / (2 * np.pi)
-    assert np.abs(integral - C).max() < 1e-3
+@given(frac=st.floats(0.02, 0.97),
+       phase=st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)))
+@example(frac=105 / 230.4, phase=0.0)
+@example(frac=105 / 896.0, phase=0.0)
+@settings(max_examples=20, deadline=None)
+def test_spectrum_integral_recovers_lyapunov(regime, frac, phase):
+    # (1/2pi) integral of S over all omega is the stationary covariance, over
+    # the stable branch of both presets up to 0.97 of threshold.  There the
+    # rule stays within 6.2e-11 of max|C|; nearer threshold the spectral
+    # peaks narrow past what 800 panels resolve.
+    p = replace(REGIME_PRESETS[regime],
+                epsilon=frac * THRESHOLDS[regime] * np.exp(1j * phase))
+    dd = DriftDiffusion.from_steady_state(p, require_steady_state(p).state)
+    C = lyapunov_covariance(dd.a_matrix, dd.d_matrix)
+    omega, weight = _whole_line_rule()
+    S = intracavity_spectrum(dd.a_matrix, dd.d_matrix, omega)
+    integral = np.tensordot(weight, S, axes=1) / (2 * np.pi)
+    assert np.abs(integral - C).max() <= 1e-9 * np.abs(C).max()
 
 
 def test_lyapunov_matches_scipy_oracle_and_phase_gauge(dd1):

@@ -15,20 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import first_order_mean_shift
-from harmoniccascade import (
-    FieldState,
-    SystemParams,
-    run_ensemble,
-    semiclassical_derivative,
-    step_trajectory,
-)
-from harmoniccascade import stochastic
-from harmoniccascade.stochastic import (
-    ExcessiveDivergence,
-    NonFiniteError,
-    make_rng,
-)
+from conftest import first_order_mean_shift, interleaved_drift
+from harmoniccascade import FieldState, SystemParams, run_ensemble, stochastic
+from harmoniccascade.stochastic import ExcessiveDivergence, make_rng
 
 
 def _z(dev: np.ndarray, se: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -37,15 +26,43 @@ def _z(dev: np.ndarray, se: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(dev.real) / se.real, np.abs(dev.imag) / se.imag
 
 
+def _euler_maruyama(a, b, p, dt, w):
+    """One step written out term by term, interleaved as (a1, b1, a2, ...).
+
+    a and b are the plain and plus amplitudes, w the four standard normals
+    on (a1, b1, a2, b2); gamma1 is 1.
+    """
+    sdt = np.sqrt(dt)
+    return np.array([
+        a[0] + dt * (p.epsilon - a[0] + p.kappa1 * b[0] * a[1])
+        + np.sqrt(complex(p.kappa1) * a[1]) * sdt * w[0],
+        b[0] + dt * (p.epsilon - b[0] + p.kappa1 * a[0] * b[1])
+        + np.sqrt(complex(p.kappa1) * b[1]) * sdt * w[1],
+        a[1] + dt * (-p.gamma2 * a[1] + p.kappa2 * b[1] * a[2]
+                     - 0.5 * p.kappa1 * a[0] ** 2)
+        + np.sqrt(complex(p.kappa2) * a[2]) * sdt * w[2],
+        b[1] + dt * (-p.gamma2 * b[1] + p.kappa2 * a[1] * b[2]
+                     - 0.5 * p.kappa1 * b[0] ** 2)
+        + np.sqrt(complex(p.kappa2) * b[2]) * sdt * w[3],
+        a[2] + dt * (-p.gamma3 * a[2] - 0.5 * p.kappa2 * a[1] ** 2),
+        b[2] + dt * (-p.gamma3 * b[2] - 0.5 * p.kappa2 * b[1] ** 2),
+    ])
+
+
+def _one_step(p, s, dt, seed):
+    # One trajectory started at s and sampled after its first step.
+    m = run_ensemble(p, dt=dt, t_end=dt, n_traj=1, seed=seed, initial=s)
+    return m.means[-1]
+
+
 def test_zero_noise_step_is_deterministic_euler(regime1):
-    s = FieldState(
-        alpha=[0.3 + 0.1j, -0.2 + 0.4j, 0.05 - 0.3j],
-        alpha_plus=[0.25 - 0.05j, -0.1 - 0.2j, 0.4 + 0.15j],
-    )
+    # Noise enters with amplitudes set by the harmonics; with both empty the
+    # ensemble step is the Euler step of the drift.
+    s = FieldState(alpha=[0.3 + 0.1j, 0, 0], alpha_plus=[0.25 - 0.05j, 0, 0])
     dt = 1e-3
-    out = step_trajectory(s, regime1, dt, noise=np.zeros(4))
-    expect = s.doubled() + dt * semiclassical_derivative(s, regime1).doubled()
-    np.testing.assert_allclose(out.doubled(), expect, rtol=1e-13, atol=1e-15)
+    out = _one_step(regime1, s, dt, seed=3)
+    expect = s.doubled() + dt * interleaved_drift(s.doubled(), regime1)
+    np.testing.assert_allclose(out, expect, rtol=1e-13, atol=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
@@ -54,72 +71,44 @@ def test_zero_noise_step_is_deterministic_euler(regime1):
         st.floats(-5, 5, allow_nan=False, allow_infinity=False),
         min_size=12, max_size=12,
     ),
-    noise=st.lists(st.floats(-3, 3), min_size=4, max_size=4),
+    seed=st.integers(0, 2**128 - 1),
     dt=st.floats(1e-5, 1e-2),
 )
-def test_step_formula_term_by_term(amps, noise, dt):
-    # Independent route: write out each update explicitly and compare.
+def test_step_formula_term_by_term(amps, seed, dt):
+    # Independent route: write out each update explicitly and compare.  The
+    # first step consumes the first four normals of the seed's stream.
     p = SystemParams(5e-3, 2e-2, 105.0, 1.0, 0.5, 0.5)
     a = [complex(amps[2 * i], amps[2 * i + 1]) for i in range(3)]
     b = [complex(amps[6 + 2 * i], amps[7 + 2 * i]) for i in range(3)]
-    s = FieldState(alpha=a, alpha_plus=b)
-    out = step_trajectory(s, p, dt, noise=np.array(noise)).doubled()
-    sdt = np.sqrt(dt)
-    # doubled() interleaves plain and plus amplitudes mode by mode
-    expect = np.array([
-        a[0] + dt * (p.epsilon - a[0] + p.kappa1 * b[0] * a[1])
-        + np.sqrt(complex(p.kappa1) * a[1]) * sdt * noise[0],
-        b[0] + dt * (p.epsilon - b[0] + p.kappa1 * a[0] * b[1])
-        + np.sqrt(complex(p.kappa1) * b[1]) * sdt * noise[1],
-        a[1] + dt * (-p.gamma2 * a[1] + p.kappa2 * b[1] * a[2]
-                     - 0.5 * p.kappa1 * a[0] ** 2)
-        + np.sqrt(complex(p.kappa2) * a[2]) * sdt * noise[2],
-        b[1] + dt * (-p.gamma2 * b[1] + p.kappa2 * a[1] * b[2]
-                     - 0.5 * p.kappa1 * b[0] ** 2)
-        + np.sqrt(complex(p.kappa2) * b[2]) * sdt * noise[3],
-        a[2] + dt * (-p.gamma3 * a[2] - 0.5 * p.kappa2 * a[1] ** 2),
-        b[2] + dt * (-p.gamma3 * b[2] - 0.5 * p.kappa2 * b[1] ** 2),
-    ])
-    np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-12)
-
-
-def test_step_rng_reproducible(regime1):
-    s = FieldState.classical([1.0, 0.5, -0.2])
-    one = step_trajectory(s, regime1, 1e-3, rng=make_rng(5))
-    two = step_trajectory(s, regime1, 1e-3, rng=make_rng(5))
-    other = step_trajectory(s, regime1, 1e-3, rng=make_rng(6))
-    np.testing.assert_array_equal(one.doubled(), two.doubled())
-    assert not np.array_equal(one.doubled(), other.doubled())
-
-
-def test_step_input_validation(regime1):
-    s = FieldState.vacuum()
-    with pytest.raises(ValueError):
-        step_trajectory(s, regime1, 0.0, noise=np.zeros(4))
-    with pytest.raises(ValueError):
-        step_trajectory(s, regime1, 1e-3)  # neither rng nor noise
+    out = _one_step(p, FieldState(alpha=a, alpha_plus=b), dt, seed)
+    w = make_rng(seed).standard_normal((4, 1))[:, 0]
+    np.testing.assert_allclose(out, _euler_maruyama(a, b, p, dt, w),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_step_escape_raises(regime1):
     s = FieldState.classical([9e5, 9e5, 9e5])
-    with pytest.raises(NonFiniteError):
-        step_trajectory(s, regime1, 1.0, noise=np.zeros(4))
+    with pytest.raises(ExcessiveDivergence, match="all trajectories"):
+        run_ensemble(regime1, dt=1.0, t_end=1.0, n_traj=1, initial=s)
 
 
 def test_single_trajectory_reproduces_ensemble_stream(regime1):
     # The documented contract: one (4, n_traj) block of standard normals per
-    # step.  Stepping by hand with the same generator must land on the same
-    # state the ensemble reports.
+    # step.  The written-out step, fed the same stream block by block, must
+    # land on the state the ensemble reports.  The two evaluate the drift in
+    # different orders, so they agree to roundoff; a block taken out of turn
+    # would move the state by the noise itself.
     dt, n_steps = 1e-3, 10
     m = run_ensemble(regime1, dt=dt, t_end=n_steps * dt, n_traj=1, seed=42,
                      sample_times=[n_steps * dt])
     rng = make_rng(42)
-    s = FieldState.vacuum()
+    v = np.zeros(6, dtype=complex)
     for _ in range(n_steps):
-        s = step_trajectory(s, regime1, dt, noise=rng.standard_normal((4, 1)))
-    np.testing.assert_array_equal(m.means[-1], s.doubled())
-    v = s.doubled()
-    np.testing.assert_array_equal(m.second_doubled[-1], np.outer(v, v))
+        v = _euler_maruyama(v[0::2], v[1::2], regime1, dt,
+                            rng.standard_normal((4, 1))[:, 0])
+    np.testing.assert_allclose(m.means[-1], v, rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(m.second_doubled[-1],
+                                  np.outer(m.means[-1], m.means[-1]))
     assert m.divergent == 0
     assert np.all(m.means_stderr == 0)  # single trajectory has no spread
 

@@ -1,0 +1,55 @@
+"""The names the benchmark, the tools and the demos take from the package.
+
+The benchmark and the tools run outside the test suite, so deleting or
+renaming a name only they use would otherwise surface as a failed benchmark
+run.  The test reads the scripts' source and runs none of them.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+from harmoniccascade import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted(path for folder in ("perfbench", "tools", "demos")
+                 for path in (ROOT / folder).glob("*.py"))
+
+
+def _package_imports(tree: ast.AST):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "harmoniccascade"):
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def _patched_cli_names(tree: ast.AST) -> list[str]:
+    # the keys of the patches dict in perfbench/workloads._instrumented_cli,
+    # which swaps cli's module names for traced wrappers
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_instrumented_cli")
+    patches = next(node.value for node in ast.walk(func)
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "patches"
+                           for t in node.targets))
+    return [ast.literal_eval(key) for key in patches.keys]
+
+
+def test_names_used_by_benchmark_tools_and_demos_exist():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SCRIPTS}
+    imported = [(path, module, name) for path, tree in trees.items()
+                for module, name in _package_imports(tree)]
+    assert imported
+    missing = [f"{path.relative_to(ROOT)}: {name} from {module}"
+               for path, module, name in imported
+               if not (hasattr(importlib.import_module(module), name)
+                       or importlib.util.find_spec(f"{module}.{name}"))]
+    patched = _patched_cli_names(trees[ROOT / "perfbench" / "workloads.py"])
+    assert patched
+    missing += [f"perfbench/workloads.py rebinds cli.{name}"
+                for name in patched if not hasattr(cli, name)]
+    assert not missing, "no such name: " + "; ".join(missing)
