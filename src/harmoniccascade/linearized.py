@@ -9,22 +9,32 @@ stationary spectrum
 
 so B is never formed and no square-root branch choice is needed here.  It is
 evaluated in the eigenbasis of A (the modal solution of the OU spectrum):
-with A = V L V^-1 and C = V^-1 D V^-T,
+with A = V L V^-1 and C = V^-1 D V^-T, splitting each product of two poles
+into partial fractions gives a sum of twelve simple poles
 
-    S(omega) = V [C_jk / ((l_j + i omega)(l_k - i omega))] V^T,
+    S(omega) = sum_j P_j / (l_j + i omega) + P_j^T / (l_j - i omega),
+    P_j = v_j (C' V^T)_j,   C'_jk = C_jk / (l_j + l_k),
 
-one eigendecomposition per call and a broadcast over the frequency grid.
-The eigenvalues also bound the resolvent conditioning, so the exact
-condition number is computed only where that bound comes near the warning
-threshold.  A nearly defective A (large cond(V)) falls back to two linear
-solves per frequency.  The measured output spectra follow by transforming to
-quadratures and applying the input-output relation, which adds the vacuum
-floor:
+whose residues are fixed 6x6 matrices: one eigendecomposition per call and
+one small product per frequency.  The eigenvalues also bound the resolvent
+conditioning, so the exact condition number is computed only where that
+bound comes near the warning threshold.  A nearly defective A (large
+cond(V)) falls back to two linear solves per frequency.
+
+The measured output spectra are read in the quadrature basis
+(X1, Y1, X2, Y2, X3, Y3), where input-output theory applies the mirror
+couplings and adds the vacuum floor:
 
     S_out[p, q] = delta_pq + sqrt(gamma_p gamma_q) (Sq[p, q] + Sq[q, p]).
 
+The spectrum itself is computed in that basis: A_q = Q A Q^-1 and
+D_q = Q D Q^T are real for every classical state, so the output is real up
+to roundoff however close the state is to threshold.  An imaginary part in
+A_q or D_q above tolerance means the state is not classical and raises
+NonHermitianResidue before any spectrum is formed.
+
 spectrum_grid is the one entry point: it evaluates a frequency grid as one
-(n, 6, 6) stack and returns both spectra as one SpectrumResult.
+(n, 6, 6) stack and returns the output spectra as one SpectrumResult.
 """
 
 from __future__ import annotations
@@ -53,12 +63,15 @@ _I6 = np.eye(6)
 # Maps the interleaved doubled basis to quadratures (X1, Y1, X2, Y2, X3, Y3):
 # X_i = da_i + da_i+, Y_i = -i (da_i - da_i+), the same block for each mode.
 _QUAD_MAP = np.kron(np.eye(3), [[1, 1], [-1j, 1j]])
+_QUAD_INV = _QUAD_MAP.conj().T / 2
 
-# Residual imaginary part allowed in the symmetrized quadrature spectrum.
+# Residual imaginary part allowed in the quadrature-basis drift and diffusion
+# and in the symmetrized quadrature spectrum.
 _IMAG_TOL = 1e-10
 _COND_WARN = 1e12
 # Largest cond(V) for which the modal route is used.  Its roundoff grows like
-# cond(V)^2 * eps (2.5e-13 relative at cond(V) = 128, 6e-12 at 740), so 1e2
+# cond(V)^2 * eps (in the quadrature basis near regime 2's pump 57.176:
+# 9e-14 relative at cond(V) = 102, 6e-13 at 187, 9e-12 at 808), so 1e2
 # keeps it at the 1e-12 the two-solve route is held to.  A 600-pump scan of
 # each preset's stable branch gives cond(V) <= 15; it diverges at regime 2's
 # pump 57.176, where two drift eigenvalues meet, and exceeds 1e2 within 0.015.
@@ -128,9 +141,11 @@ def intracavity_spectrum(A: np.ndarray, D: np.ndarray,
 
     A^T is the plain transpose, not the conjugate transpose.  A scalar omega
     gives one 6x6 matrix, an array of n frequencies an (n, 6, 6) stack.  One
-    eigendecomposition A = V L V^-1 serves every frequency (module
-    docstring); when cond(V) exceeds _MODAL_COND_MAX (A close to defective)
-    two partial-pivoted solves per frequency are used instead.
+    eigendecomposition A = V L V^-1 gives the twelve pole residues that
+    serve every frequency (module docstring); the partial fractions need
+    l_j + l_k != 0, which every stable A (all Re l_j > 0) satisfies.  When
+    cond(V) exceeds _MODAL_COND_MAX (A close to defective) two
+    partial-pivoted solves per frequency are used instead.
 
     One RuntimeWarning names the worst-conditioned frequency when any
     resolvent has a condition number above 1e12 or a non-finite one.  As
@@ -161,10 +176,15 @@ def intracavity_spectrum(A: np.ndarray, D: np.ndarray,
         if not dist.all():    # as the solves, refuse an exactly singular one
             raise np.linalg.LinAlgError("Singular matrix")
         Vinv = np.linalg.inv(V)
-        shift = 1j * w[..., None]
-        G = (Vinv @ D @ Vinv.T) / ((lam + shift)[..., :, None]
-                                   * (lam - shift)[..., None, :])
-        return V @ G @ V.T
+        C = (Vinv @ D @ Vinv.T) / (lam[:, None] + lam)
+        P = V.T[:, :, None] * (C @ V.T)[:, None, :]    # P[j] = v_j (C V^T)_j
+        residues = np.concatenate([P, P.mT]).reshape(12, 36)
+        shift = 1j * wf[:, None]
+        poles = 1 / np.concatenate([lam + shift, lam - shift], axis=1)
+        # one (1, 12) @ (12, 36) product per frequency, so a grid item equals
+        # the one-point result bit for bit (a single (n, 12) GEMM would not)
+        S = poles[:, None, :] @ residues
+        return S.reshape(w.shape + (6, 6))
     w = w[..., None, None]
     Y = np.linalg.solve(A + 1j * w * _I6, D)
     # S = Y (A^T - i omega)^-1, computed as a solve against the transpose.
@@ -173,17 +193,18 @@ def intracavity_spectrum(A: np.ndarray, D: np.ndarray,
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Intracavity and output spectra at one frequency or over a grid.
+    """Output spectra at one frequency or over a grid.
 
-    Over n frequencies omega is an array, s_alpha the (n, 6, 6) intracavity
-    stack and s_quad one QuadCovariance stack; at one frequency they are a
-    scalar and 6x6 matrices.  len() counts the frequencies, and indexing
-    along omega gives the spectra there: an int one frequency, a slice a
-    sub-grid.
+    Over n frequencies omega is an array and s_quad one QuadCovariance
+    stack; at one frequency omega is a scalar and s_quad one 6x6 matrix.
+    s_quad is computed in the real quadrature basis from the pole-residue
+    form of the intracavity spectrum (module docstring), after a check that
+    the quadrature drift and diffusion are real.  len() counts the
+    frequencies, and indexing along omega gives the spectra there: an int
+    one frequency, a slice a sub-grid.
     """
 
     omega: float | np.ndarray
-    s_alpha: np.ndarray
     s_quad: QuadCovariance
 
     def __len__(self) -> int:
@@ -193,25 +214,33 @@ class SpectrumResult:
         if np.ndim(self.omega) == 0:    # else iteration would end silently
             raise TypeError("one frequency has no frequency axis to index")
         omega = self.omega[index]
-        return SpectrumResult(omega=omega, s_alpha=self.s_alpha[index],
-                              s_quad=QuadCovariance(
-                                  omega=omega, matrix=self.s_quad.matrix[index]))
+        return SpectrumResult(omega=omega, s_quad=QuadCovariance(
+            omega=omega, matrix=self.s_quad.matrix[index]))
 
 
 def spectrum_grid(p: SystemParams, dd: DriftDiffusion,
                   omegas: float | np.ndarray | None = None) -> SpectrumResult:
-    """Spectra over a frequency grid (default grid when omegas is None).
+    """Output spectra over a frequency grid (default grid when omegas is None).
 
-    A scalar omega gives the spectra at that one frequency.  All frequencies
-    are evaluated as one stack.  The output spectrum transforms the intracavity
-    one to the quadrature basis, symmetrizes, scales by the mirror couplings
-    and adds the vacuum floor.  It must be real; residual imaginary parts
-    above tolerance signal an upstream bug and raise NonHermitianResidue.
+    A scalar omega gives the spectra at that one frequency.  The drift and
+    diffusion are moved to the quadrature basis, where they must be real: an
+    imaginary part above tolerance means the state is not classical and
+    raises NonHermitianResidue.  All frequencies are then evaluated as one
+    stack; the output spectrum symmetrizes, scales by the mirror couplings
+    and adds the vacuum floor.  It must be real too; a residual imaginary
+    part above tolerance signals an upstream bug and raises
+    NonHermitianResidue.
     """
     omegas = default_omega_grid() if omegas is None else np.array(
         omegas, dtype=float)[()]    # [()] keeps a scalar omega a scalar
-    s_alpha = intracavity_spectrum(dd.a_matrix, dd.d_matrix, omegas)
-    Sq = _QUAD_MAP @ s_alpha @ _QUAD_MAP.T
+    A = _QUAD_MAP @ dd.a_matrix @ _QUAD_INV
+    D = _QUAD_MAP @ dd.d_matrix @ _QUAD_MAP.T
+    imag = max(np.abs(A.imag).max(), np.abs(D.imag).max())
+    if imag > _IMAG_TOL:
+        raise NonHermitianResidue(
+            f"imaginary residue {imag:.3e} in the quadrature-basis drift "
+            f"or diffusion")
+    Sq = intracavity_spectrum(A.real, D.real, omegas)
     M = Sq + Sq.mT
     imag = np.abs(M.imag).max(axis=(-2, -1)).reshape(-1)
     if np.any(imag > _IMAG_TOL):
@@ -221,7 +250,7 @@ def spectrum_grid(p: SystemParams, dd: DriftDiffusion,
             f"omega={np.reshape(omegas, -1)[worst]}")
     g = np.sqrt(np.repeat(p.gammas(), 2))
     s_quad = QuadCovariance(omega=omegas, matrix=_I6 + np.outer(g, g) * M.real)
-    return SpectrumResult(omega=omegas, s_alpha=s_alpha, s_quad=s_quad)
+    return SpectrumResult(omega=omegas, s_quad=s_quad)
 
 
 def lyapunov_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:

@@ -52,7 +52,7 @@ def _fresh_summary(regime: int):
 
 
 # The targets of criteria 1 and 3 come from the source paper, whose full text
-# is not in the repository; ROADMAP item 4 records what has been ruled out.
+# is not in the repository; ROADMAP item 6 records what has been ruled out.
 def test_criterion_1_regime1_obr_sum_minimum():
     summary, elapsed = _fresh_summary(1)
     value = summary.min_sum_obr[0]

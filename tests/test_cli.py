@@ -268,6 +268,22 @@ def test_steady_just_below_threshold(tmp_path):
     assert np.abs(v[0::2] + 1j * v[1::2] - ode.state.alpha).max() < 1e-9
 
 
+@pytest.mark.parametrize("regime, epsilon", [("1", "228.1"), ("2", "880")])
+def test_spectra_just_below_threshold(regime, epsilon, tmp_path):
+    # 0.99 of the regime-1 and 0.98 of the regime-2 threshold, where the
+    # spectral peaks are high and narrow: both spectrum modes succeed and
+    # the spectra respect the uncertainty bound.
+    for mode in ("spectra", "correlations"):
+        assert main([mode, "--regime", regime, "--epsilon", epsilon,
+                     "--out", str(tmp_path)]) == 0
+    _, rows, _ = _read_rows(tmp_path / "spectra.csv")
+    v = np.array(rows, dtype=float)
+    assert v.shape == (801, 7)
+    assert (v[:, 1::2] * v[:, 2::2]).min() >= 1.0 - 1e-9
+    _, rows, _ = _read_rows(tmp_path / "correlations.csv")
+    assert len(rows) == 801 and np.isfinite(np.array(rows, dtype=float)).all()
+
+
 def test_non_finite_pump_exit_code(tmp_path, capsys):
     for value in ("nan", "inf"):
         assert main(["steady", "--epsilon", value,

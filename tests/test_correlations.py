@@ -211,7 +211,6 @@ def test_grid_equals_pointwise_evaluation(regime, omegas, regime1, regime2,
     for item in spectra:
         one = spectrum_grid(p, dd, [item.omega])[0]
         assert one.omega == item.omega
-        np.testing.assert_array_equal(item.s_alpha, one.s_alpha)
         np.testing.assert_array_equal(item.s_quad.matrix, one.s_quad.matrix)
 
     grid = evaluate_grid(spectra)
