@@ -16,13 +16,11 @@ from .model import (
     validate_params,
 )
 from .semiclassical import (
-    IntegrationFailure,
     NoThresholdInRange,
     NotStationary,
     SteadyStateResult,
     ThresholdResult,
     algebraic_steady_state,
-    find_steady_state,
     pulsing_threshold,
     require_steady_state,
 )
@@ -42,7 +40,6 @@ from .correlations import (
     GridSummary,
     classify,
     evaluate_grid,
-    evaluate_report,
     obr_inferred,
     obr_product,
     summarize_grid,
@@ -70,14 +67,13 @@ __all__ = [
     "SystemParams", "FieldState", "QuadCovariance", "validate_params",
     "NonPositiveRate", "NonHermitianResidue",
     "SteadyStateResult", "ThresholdResult", "NotStationary",
-    "IntegrationFailure", "NoThresholdInRange",
-    "find_steady_state", "require_steady_state", "algebraic_steady_state",
+    "NoThresholdInRange", "require_steady_state", "algebraic_steady_state",
     "pulsing_threshold",
     "DriftDiffusion", "SpectrumResult", "build_drift", "build_diffusion",
     "intracavity_spectrum", "spectrum_grid", "lyapunov_covariance",
     "default_omega_grid",
     "CorrelationReport", "GridSummary", "DegenerateVariance", "classify",
-    "evaluate_report", "evaluate_grid", "summarize_grid",
+    "evaluate_grid", "summarize_grid",
     "vlf_pair", "vlf_triple", "obr_inferred", "obr_product",
     "EnsembleMoments", "ExcessiveDivergence", "make_rng", "run_ensemble",
     "REGIME_PRESETS", "__version__",

@@ -26,7 +26,8 @@ import numpy as np
 from . import REGIME_PRESETS, __version__
 from .correlations import OBR_ORDER, PAIR_ORDER, TRIPLE_ORDER, evaluate_grid
 from .linearized import DriftDiffusion, spectrum_grid
-from .model import NonPositiveRate, SystemParams, validate_params
+from .model import (NonHermitianResidue, NonPositiveRate, SystemParams,
+                    validate_params)
 from .semiclassical import (NoThresholdInRange, NotStationary,
                             pulsing_threshold, require_steady_state)
 from .stochastic import ExcessiveDivergence, run_ensemble, step_count
@@ -424,7 +425,8 @@ _RUNNERS = {
 
 # Exit code of each error main reports instead of raising.
 _EXIT_CODES = {ConfigParse: 2, NotStationary: 3, IoError: 4,
-               NoThresholdInRange: 5, ExcessiveDivergence: 5}
+               NoThresholdInRange: 5, ExcessiveDivergence: 5,
+               NonHermitianResidue: 6}
 
 
 def _write_gnuplot(written: list[tuple[Path, list[str]]], out: Path) -> Path:
@@ -460,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run the command line; return 0, or an error's exit code after
     printing ``error: ...`` (2 configuration, 3 no stationary state,
     4 unwritable output, 5 no threshold in range or every trajectory
-    diverged)."""
+    diverged, 6 a numerical check failed)."""
     try:
         for path in run(build_config(sys.argv[1:] if argv is None else argv)):
             print(path)

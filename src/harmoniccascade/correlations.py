@@ -39,7 +39,6 @@ __all__ = [
     "obr_inferred",
     "obr_product",
     "classify",
-    "evaluate_report",
     "evaluate_grid",
     "summarize_grid",
 ]
@@ -195,8 +194,10 @@ def classify(omega: float | np.ndarray,
     )
 
 
-def evaluate_report(S: QuadCovariance) -> CorrelationReport:
-    """Compute all correlations from one covariance or a stack; classify."""
+def evaluate_grid(spectra) -> CorrelationReport:
+    """Compute all correlations from a SpectrumResult's output spectra and
+    classify them: arrays over a grid, scalars at one frequency."""
+    S = spectra.s_quad
     v_pair: dict[tuple[int, int], float] = {}
     gains: dict[tuple[int, int], float] = {}
     for i, j in PAIR_ORDER:
@@ -205,11 +206,6 @@ def evaluate_report(S: QuadCovariance) -> CorrelationReport:
     v_triple = {t: vlf_triple(S, *t) for t in TRIPLE_ORDER}
     obr = {t: obr_product(S, *t) for t in OBR_ORDER}
     return classify(S.omega, v_pair, gains, v_triple, obr)
-
-
-def evaluate_grid(spectra) -> CorrelationReport:
-    """evaluate_report of the output spectra of a SpectrumResult."""
-    return evaluate_report(spectra.s_quad)
 
 
 @dataclass(frozen=True)

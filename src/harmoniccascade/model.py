@@ -12,7 +12,7 @@ vacuum variance is 1 and the uncertainty bound is V(X) V(Y) >= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,12 +75,11 @@ class SystemParams:
         return np.array([self.gamma1, self.gamma2, self.gamma3], dtype=float)
 
 
-def validate_params(p: SystemParams, allow_rescale: bool = False) -> SystemParams:
+def validate_params(p: SystemParams) -> None:
     """Check finite positive rates, a finite pump and gamma1 == 1.
 
-    Returns the params unchanged when valid.  When gamma1 != 1,
-    allow_rescale=True re-expresses all rates and the pump in units of
-    1/gamma1 instead of rejecting; idempotent either way.
+    Raises NonPositiveRate otherwise.  Time is in units of 1/gamma1, so
+    rates given in other units are to be divided by gamma1, the pump too.
     """
     bad = [name for name in ("kappa1", "kappa2", "gamma1", "gamma2", "gamma3")
            if not 0 < getattr(p, name) < np.inf]
@@ -90,15 +89,9 @@ def validate_params(p: SystemParams, allow_rescale: bool = False) -> SystemParam
         raise NonPositiveRate("rates must be positive and finite and the "
                               "pump finite, violated by: " + ", ".join(bad))
     if p.gamma1 != 1.0:
-        if not allow_rescale:
-            raise NonPositiveRate(
-                f"gamma1 must be 1 in canonical time units, got {p.gamma1}; "
-                "pass allow_rescale=True to renormalize")
-        g = p.gamma1
-        p = replace(p, kappa1=p.kappa1 / g, kappa2=p.kappa2 / g,
-                    epsilon=p.epsilon / g, gamma1=1.0,
-                    gamma2=p.gamma2 / g, gamma3=p.gamma3 / g)
-    return p
+        raise NonPositiveRate(
+            f"gamma1 must be 1 in canonical time units, got {p.gamma1}; "
+            "divide every rate and the pump by gamma1")
 
 
 def doubled_drift(a, b, p: SystemParams) -> tuple:

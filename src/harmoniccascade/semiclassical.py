@@ -6,9 +6,7 @@ Their stationary equations reduce to one strictly increasing scalar equation,
 so every parameter set has exactly one stationary point, found in closed form
 up to one bracketed scalar root.  It counts as stationary only when every
 eigenvalue of the drift matrix there has a positive real part; the same point
-plus eigenvalues tracks the branch past the instability.  Forward integration
-from the vacuum, which can only settle onto a stable branch, is kept as an
-independent oracle.
+plus eigenvalues tracks the branch past the instability.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .linearized import build_drift
@@ -27,19 +24,13 @@ __all__ = [
     "SteadyStateResult",
     "ThresholdResult",
     "NotStationary",
-    "IntegrationFailure",
     "NoThresholdInRange",
-    "find_steady_state",
     "require_steady_state",
     "algebraic_steady_state",
     "pulsing_threshold",
 ]
 
-# Integrator accuracy; the residual tolerance below is achievable because the
-# attractor pulls the numerical solution exponentially onto the fixed point.
-_RTOL = 1e-10
-_ATOL = 1e-12
-# Largest drift residual of a stationary state, on either route.
+# Largest drift residual of a stationary state.
 _STATIONARY_TOL = 1e-12
 # Evenly spaced pumps of the threshold scan, ends included.
 _SCAN_POINTS = 33
@@ -50,19 +41,16 @@ class NotStationary(RuntimeError):
     or a drift residual above tolerance."""
 
 
-class IntegrationFailure(RuntimeError):
-    """The ODE integrator failed (step-size underflow or non-finite state)."""
-
-
 class NoThresholdInRange(RuntimeError):
     """No stability crossing inside the scanned pump interval."""
 
 
 @dataclass(frozen=True)
 class SteadyStateResult:
+    """The stable stationary state and its largest drift residual."""
+
     state: FieldState
     residual: float
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -75,61 +63,9 @@ class ThresholdResult:
     scan_stability: np.ndarray  # min real part of drift eigenvalues per eps
 
 
-def _classical_rhs(t, y, p: SystemParams):
-    # y holds (re a1, im a1, re a2, im a2, re a3, im a3); stiff scipy methods
-    # need real vectors, so the three complex equations are unpacked here.
-    # Plain Python scalars make each call about twice as fast as numpy ones.
-    r1, i1, r2, i2, r3, i3 = y.tolist()
-    a = (complex(r1, i1), complex(r2, i2), complex(r3, i3))
-    f1, f2, f3 = doubled_drift(a, [z.conjugate() for z in a], p)[:3]
-    return [f1.real, f1.imag, f2.real, f2.imag, f3.real, f3.imag]
-
-
 def _residual_of(state: FieldState, p: SystemParams) -> float:
     f = doubled_drift(state.alpha, state.alpha_plus, p)
     return float(np.abs(f[:3]).max())
-
-
-def _unpack(y) -> FieldState:
-    return FieldState.classical(np.asarray(y)[0::2] + 1j * np.asarray(y)[1::2])
-
-
-def find_steady_state(p: SystemParams,
-                      t_max: float = 400.0) -> SteadyStateResult:
-    """Integrate from the vacuum until the drift residual drops to 1e-12.
-
-    The oracle route: returns converged=False with the state reached at
-    t_max when the residual is still above 1e-12 there.  The classical
-    manifold is enforced exactly: only the three alpha equations are
-    integrated and alpha_plus is their conjugate bit for bit.
-
-    The start is vacuum plus an infinitesimal imaginary seed on the pumped
-    mode.  With a real pump the all-real subspace is invariant bit for bit,
-    and the self-pulsing Hopf destabilizes the phase directions first; an
-    exactly real start would converge onto that unstable point and report it
-    as stationary.  The seed decays below threshold (final imaginary parts
-    land at roundoff) and grows above it, so convergence implies stability.
-    """
-    p = validate_params(p)
-    y = np.zeros(6)
-    if p.epsilon != 0:
-        y[1] = 1e-8
-    t = 0.0
-    res = _residual_of(_unpack(y), p)
-    chunk = 25.0
-    while res > _STATIONARY_TOL and t < t_max:
-        t_next = min(t + chunk, t_max)
-        sol = solve_ivp(_classical_rhs, (t, t_next), y, args=(p,),
-                        method="LSODA", rtol=_RTOL, atol=_ATOL)
-        if not sol.success:
-            raise IntegrationFailure(sol.message)
-        if not np.all(np.isfinite(sol.y[:, -1])):
-            raise IntegrationFailure("non-finite state during integration")
-        y = sol.y[:, -1]
-        t = t_next
-        res = _residual_of(_unpack(y), p)
-    return SteadyStateResult(state=_unpack(y), residual=res,
-                             converged=res <= _STATIONARY_TOL)
 
 
 def require_steady_state(p: SystemParams) -> SteadyStateResult:
@@ -156,7 +92,7 @@ def require_steady_state(p: SystemParams) -> SteadyStateResult:
     if residual > _STATIONARY_TOL:
         raise NotStationary(f"root residual {residual:.3e} above "
                             f"{_STATIONARY_TOL:g}")
-    return SteadyStateResult(state=state, residual=residual, converged=True)
+    return SteadyStateResult(state=state, residual=residual)
 
 
 def algebraic_steady_state(p: SystemParams) -> FieldState:
@@ -174,7 +110,7 @@ def algebraic_steady_state(p: SystemParams) -> FieldState:
     from 0, so one bracketed root in t gives the only stationary point, with
     finite amplitudes for every finite pump.
     """
-    p = validate_params(p)
+    validate_params(p)
     # Python floats: their products overflow to inf without a warning.
     k1, k2, g1, g2, g3 = map(float, (p.kappa1, p.kappa2, p.gamma1, p.gamma2,
                                      p.gamma3))
@@ -217,7 +153,7 @@ def pulsing_threshold(p: SystemParams,
     closed form, so the scan follows the branch past the crossing, where it
     persists but is no longer an attractor, with no seeding or continuation.
     """
-    p = validate_params(p)
+    validate_params(p)
     if not eps_range[0] < eps_range[1]:
         raise ValueError("eps_range must be increasing")
 

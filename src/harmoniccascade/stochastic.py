@@ -201,30 +201,23 @@ class EnsembleMoments:
 
 def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
                  n_traj: int = 1000, seed: int = 0,
-                 sample_times: list[float] | None = None,
                  initial: FieldState | None = None,
                  strict: bool = True) -> EnsembleMoments:
     """Integrate an ensemble and return its moment statistics.
 
-    Sampling happens at the step closest to each requested time (default:
-    half, three quarters, and end of the run); a time that is not finite or
-    lies outside [0, t_end] raises ValueError.  Divergent trajectories are
-    frozen out of all later samples; when more than 1% diverge the result is
-    unreliable and strict=True raises ExcessiveDivergence (strict=False
-    returns it flagged instead).
+    Sampling happens at the steps closest to half, three quarters and the
+    end of the run, each at least the first step; coinciding steps are
+    sampled once.  Divergent trajectories are frozen out of all later
+    samples; when more than 1% diverge the result is unreliable and
+    strict=True raises ExcessiveDivergence (strict=False returns it flagged
+    instead).
     """
-    p = validate_params(p)
+    validate_params(p)
     n_steps = step_count(dt, t_end)
     if n_traj < 1:
         raise ValueError("n_traj must be positive")
-    if sample_times is None:
-        sample_times = [0.5 * t_end, 0.75 * t_end, t_end]
-    for ts in sample_times:
-        if not 0 <= ts <= t_end:
-            raise ValueError(f"sample time {ts} must be finite and lie in "
-                             f"[0, t_end = {t_end}]")
     sample_steps = sorted({min(n_steps, max(1, int(round(ts / dt))))
-                           for ts in sample_times})
+                           for ts in (0.5 * t_end, 0.75 * t_end, t_end)})
     t_grid = np.array([s * dt for s in sample_steps])
 
     if initial is None:

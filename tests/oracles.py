@@ -1,0 +1,86 @@
+"""Second computations that the package itself does not need.
+
+relax_from_vacuum finds the stable stationary state by integrating the
+classical equations of motion forward in time, a route independent of the
+closed form in harmoniccascade.semiclassical.  Tests compare the two.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+from harmoniccascade import FieldState, SystemParams, validate_params
+from harmoniccascade.model import doubled_drift
+from harmoniccascade.semiclassical import _STATIONARY_TOL, _residual_of
+
+# Integrator accuracy; the package's 1e-12 residual tolerance is achievable
+# because the attractor pulls the numerical solution exponentially onto the
+# fixed point.
+_RTOL = 1e-10
+_ATOL = 1e-12
+# Integration length between residual checks.  Each chunk restarts LSODA,
+# which can stall a slowly relaxing state short of the tolerance (ROADMAP
+# item 6); the frozen bounds of the tests were set with this length.
+_CHUNK = 25.0
+
+
+@dataclass(frozen=True)
+class Relaxation:
+    """The state reached, its largest drift residual, and whether that
+    residual is within the stationary tolerance."""
+
+    state: FieldState
+    residual: float
+    converged: bool
+
+
+def _classical_rhs(t, y, p: SystemParams):
+    # y holds (re a1, im a1, re a2, im a2, re a3, im a3); stiff scipy methods
+    # need real vectors, so the three complex equations are unpacked here.
+    # Plain Python scalars make each call about twice as fast as numpy ones.
+    r1, i1, r2, i2, r3, i3 = y.tolist()
+    a = (complex(r1, i1), complex(r2, i2), complex(r3, i3))
+    f1, f2, f3 = doubled_drift(a, [z.conjugate() for z in a], p)[:3]
+    return [f1.real, f1.imag, f2.real, f2.imag, f3.real, f3.imag]
+
+
+def _unpack(y) -> FieldState:
+    return FieldState.classical(np.asarray(y)[0::2] + 1j * np.asarray(y)[1::2])
+
+
+def relax_from_vacuum(p: SystemParams, t_max: float = 400.0) -> Relaxation:
+    """Integrate from the vacuum until the drift residual drops to 1e-12.
+
+    Returns converged=False with the state reached at t_max when the
+    residual is still above 1e-12 there.  The classical manifold is enforced
+    exactly: only the three alpha equations are integrated (LSODA, in
+    25-unit chunks with the residual checked after each) and alpha_plus is
+    their conjugate bit for bit.
+
+    The start is vacuum plus an infinitesimal imaginary seed on the pumped
+    mode.  With a real pump the all-real subspace is invariant bit for bit,
+    and the self-pulsing Hopf destabilizes the phase directions first; an
+    exactly real start would converge onto that unstable point and report it
+    as stationary.  The seed decays below threshold (final imaginary parts
+    land at roundoff) and grows above it, so convergence implies stability.
+    """
+    validate_params(p)
+    y = np.zeros(6)
+    if p.epsilon != 0:
+        y[1] = 1e-8
+    t = 0.0
+    res = _residual_of(_unpack(y), p)
+    while res > _STATIONARY_TOL and t < t_max:
+        t_next = min(t + _CHUNK, t_max)
+        sol = solve_ivp(_classical_rhs, (t, t_next), y, args=(p,),
+                        method="LSODA", rtol=_RTOL, atol=_ATOL)
+        if not sol.success:
+            raise RuntimeError(f"integration failed: {sol.message}")
+        if not np.all(np.isfinite(sol.y[:, -1])):
+            raise RuntimeError("non-finite state during integration")
+        y = sol.y[:, -1]
+        t = t_next
+        res = _residual_of(_unpack(y), p)
+    return Relaxation(state=_unpack(y), residual=res,
+                      converged=res <= _STATIONARY_TOL)

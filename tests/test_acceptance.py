@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from conftest import fd_jacobian, first_order_mean_shift
+from oracles import relax_from_vacuum
 from harmoniccascade import (
     REGIME_PRESETS,
     DriftDiffusion,
     QuadCovariance,
+    SpectrumResult,
     build_drift,
     evaluate_grid,
-    find_steady_state,
     pulsing_threshold,
     require_steady_state,
     spectrum_grid,
@@ -30,7 +31,6 @@ from harmoniccascade.correlations import (
     OBR_ORDER,
     PAIR_ORDER,
     TRIPLE_ORDER,
-    evaluate_report,
     vlf_pair,
 )
 from harmoniccascade.model import SystemParams
@@ -111,7 +111,7 @@ def test_criterion_4_regime2_obr_pattern(summary2):
 def test_criterion_5_vacuum_calibration():
     vac = QuadCovariance(omega=0.0, matrix=np.eye(6))
     dev_identity = np.abs(vac.matrix - np.eye(6)).max()
-    report = evaluate_report(vac)
+    report = evaluate_grid(SpectrumResult(omega=0.0, s_quad=vac))
     dev_pair = max(abs(v - 4.0) for v in report.v_pair.values())
     dev_triple = max(abs(v - 4.0) for v in report.v_triple.values())
     dev_obr = max(abs(v - 1.0) for v in report.obr.values())
@@ -135,7 +135,7 @@ def test_criterion_6_oracle_equivalence(flagship_ensemble, ss1, dd1, lyap1,
         jac = fd_jacobian(p, ss.state, h=1e-6)
         drift_dev = max(drift_dev,
                         float(np.abs(A + jac).max() / np.abs(A).max()))
-        ode = find_steady_state(p)
+        ode = relax_from_vacuum(p)
         ode_dev = max(ode_dev,
                       float(np.abs(ss.state.doubled()
                                    - ode.state.doubled()).max()))
@@ -220,7 +220,7 @@ def test_criterion_8_threshold_consistency():
         for eps in grid:
             q = SystemParams(p.kappa1, p.kappa2, float(eps), p.gamma1,
                             p.gamma2, p.gamma3)
-            if not find_steady_state(q, t_max=5000.0).converged:
+            if not relax_from_vacuum(q, t_max=5000.0).converged:
                 onset = float(eps)
                 break
         step = float(grid[1] - grid[0])

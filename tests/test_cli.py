@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harmoniccascade import REGIME_PRESETS, SystemParams, find_steady_state
+from harmoniccascade import (REGIME_PRESETS, NonHermitianResidue,
+                             SystemParams, cli)
 from harmoniccascade.cli import (
     ConfigParse,
     RunConfig,
@@ -17,6 +18,7 @@ from harmoniccascade.cli import (
     main,
     parse_config_file,
 )
+from oracles import relax_from_vacuum
 
 
 def _read_rows(path):
@@ -263,7 +265,7 @@ def test_steady_just_below_threshold(tmp_path):
                  "--out", str(tmp_path)]) == 0
     _, rows, _ = _read_rows(tmp_path / "steady.csv")
     v = np.array([float(x) for x in rows[0][:6]])
-    ode = find_steady_state(p, t_max=5000.0)
+    ode = relax_from_vacuum(p, t_max=5000.0)
     assert ode.converged
     assert np.abs(v[0::2] + 1j * v[1::2] - ode.state.alpha).max() < 1e-9
 
@@ -347,6 +349,20 @@ def test_total_divergence_exit_code(tmp_path, capsys):
                  "--n-traj", "5", "--out", str(tmp_path)])
     assert code == 5
     assert "error: all trajectories diverged" in capsys.readouterr().err
+
+
+def test_failed_numerical_check_exit_code(monkeypatch, tmp_path, capsys):
+    # A spectrum that fails its reality check ends the run with a message
+    # and its own exit code, not a traceback.
+    def failing(*args, **kwargs):
+        raise NonHermitianResidue("imaginary residue 1e-09 in quadrature "
+                                  "spectrum at omega=0")
+
+    monkeypatch.setattr(cli, "spectrum_grid", failing)
+    for mode in ("spectra", "correlations", "figures"):
+        assert main([mode, "--regime", "1", "--out", str(tmp_path)]) == 6
+        assert capsys.readouterr().err.startswith("error: imaginary residue")
+    assert not any(tmp_path.iterdir())
 
 
 _REFERENCES = (Path(__file__).resolve().parents[1]

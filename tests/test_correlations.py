@@ -10,7 +10,6 @@ from harmoniccascade import (
     QuadCovariance,
     classify,
     evaluate_grid,
-    evaluate_report,
     obr_inferred,
     obr_product,
     spectrum_grid,
@@ -151,7 +150,7 @@ def test_uncorrelated_states_violate_nothing(vs):
 
 
 def test_report_collects_all_families(spectra1):
-    r = evaluate_report(spectra1[400].s_quad)
+    r = evaluate_grid(spectra1[400])
     assert set(r.v_pair) == set(PAIR_ORDER)
     assert set(r.v_triple) == set(TRIPLE_ORDER)
     assert set(r.obr) == set(OBR_ORDER)
@@ -214,7 +213,7 @@ def test_grid_equals_pointwise_evaluation(regime, omegas, regime1, regime2,
         np.testing.assert_array_equal(item.s_quad.matrix, one.s_quad.matrix)
 
     grid = evaluate_grid(spectra)
-    reports = [evaluate_report(item.s_quad) for item in spectra]
+    reports = [evaluate_grid(item) for item in spectra]
     assert len(grid) == len(reports)
     for field in dataclasses.fields(grid):
         column = getattr(grid, field.name)

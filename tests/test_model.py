@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import harmoniccascade
 from harmoniccascade import (
@@ -28,9 +26,8 @@ def test_quad_indices_interleave():
 def test_validate_params_accepts_reference_regime():
     p = SystemParams(kappa1=5e-3, kappa2=2e-2, epsilon=105.0,
                      gamma1=1.0, gamma2=0.5, gamma3=0.5)
-    q = validate_params(p)
-    assert q == p
-    np.testing.assert_array_equal(q.gammas(), [1.0, 0.5, 0.5])
+    assert validate_params(p) is None
+    np.testing.assert_array_equal(p.gammas(), [1.0, 0.5, 0.5])
 
 
 @pytest.mark.parametrize("field", ["kappa1", "kappa2", "gamma1", "gamma2",
@@ -47,29 +44,11 @@ def test_validate_params_rejects_nonpositive_rates(field):
             validate_params(SystemParams(**base))
 
 
-def test_validate_params_requires_unit_gamma1_unless_rescaled():
+def test_validate_params_requires_unit_gamma1():
     p = SystemParams(kappa1=5e-3, kappa2=2e-2, epsilon=105.0,
                      gamma1=2.0, gamma2=1.0, gamma3=1.0)
     with pytest.raises(NonPositiveRate):
         validate_params(p)
-    q = validate_params(p, allow_rescale=True)
-    assert q.gamma1 == 1.0
-    assert q.gamma2 == pytest.approx(0.5)
-    assert q.epsilon == pytest.approx(52.5)
-
-
-@given(scale=st.floats(min_value=0.1, max_value=10.0,
-                       allow_nan=False, allow_infinity=False))
-@settings(max_examples=30, deadline=None)
-def test_rescale_is_exact_rate_division(scale):
-    p = SystemParams(kappa1=3e-3 * scale, kappa2=7e-3 * scale,
-                     epsilon=50.0 * scale, gamma1=scale,
-                     gamma2=0.4 * scale, gamma3=1.3 * scale)
-    q = validate_params(p, allow_rescale=True)
-    assert q.gamma1 == pytest.approx(1.0)
-    # ratios of all rates to gamma1 are preserved
-    assert q.kappa2 / q.kappa1 == pytest.approx(p.kappa2 / p.kappa1)
-    assert q.gamma3 / q.gamma2 == pytest.approx(p.gamma3 / p.gamma2)
 
 
 def test_field_state_doubled_round_trip():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -10,12 +15,12 @@ from harmoniccascade import (
     NotStationary,
     SystemParams,
     algebraic_steady_state,
-    find_steady_state,
     pulsing_threshold,
     require_steady_state,
 )
 from harmoniccascade.cli import main
 from harmoniccascade.model import doubled_drift
+from oracles import relax_from_vacuum
 
 # Long-time integration and root-finding agree on these to ~1e-13; frozen
 # from runs cross-checked between both routes.
@@ -47,7 +52,6 @@ def test_derivative_valid_off_manifold():
 @pytest.mark.parametrize("regime", [1, 2])
 def test_steady_state_matches_frozen_values(regime, request):
     ss = request.getfixturevalue(f"ss{regime}")
-    assert ss.converged
     assert ss.residual < 1e-12
     np.testing.assert_allclose(ss.state.alpha.real, STEADY_ALPHA[regime],
                                rtol=1e-9)
@@ -64,7 +68,7 @@ def test_steady_state_sign_structure(regime, request):
 @pytest.mark.parametrize("regime", [1, 2])
 def test_ode_and_algebraic_routes_agree(regime, request):
     ss = request.getfixturevalue(f"ss{regime}")
-    ode = find_steady_state(REGIME_PRESETS[regime])
+    ode = relax_from_vacuum(REGIME_PRESETS[regime])
     assert ode.converged
     assert np.abs(ss.state.alpha - ode.state.alpha).max() < 1e-9
 
@@ -79,17 +83,19 @@ def test_steady_state_closes_the_harmonic_chain(regime, request):
 
 
 def test_steady_state_manifold_exact_bits():
-    ss = find_steady_state(REGIME_PRESETS[1])
-    a, ap = ss.state.alpha, ss.state.alpha_plus
-    assert np.array_equal(ap, np.conj(a))
+    for ss in (require_steady_state(REGIME_PRESETS[1]),
+               relax_from_vacuum(REGIME_PRESETS[1])):
+        a, ap = ss.state.alpha, ss.state.alpha_plus
+        assert np.array_equal(ap, np.conj(a))
 
 
 def test_zero_pump_keeps_exact_vacuum():
     p = replace(REGIME_PRESETS[1], epsilon=0.0)
-    ss = find_steady_state(p)
-    assert ss.converged
-    assert ss.residual == 0.0
-    assert np.all(ss.state.alpha == 0)
+    ode = relax_from_vacuum(p)
+    assert ode.converged
+    for ss in (require_steady_state(p), ode):
+        assert ss.residual == 0.0
+        assert np.all(ss.state.alpha == 0)
 
 
 def test_steady_state_continuity_in_pump():
@@ -120,7 +126,7 @@ def test_routes_agree_across_pump_strengths(regime, frac, phase):
     p = replace(REGIME_PRESETS[regime], epsilon=eps * np.exp(1j * phase))
     ss = require_steady_state(p)
     assert ss.residual <= 1e-12
-    ode = find_steady_state(p, t_max=3000.0)
+    ode = relax_from_vacuum(p, t_max=3000.0)
     assert ode.converged
     assert np.abs(ss.state.alpha - ode.state.alpha).max() < 1e-9
 
@@ -143,7 +149,7 @@ def test_routes_agree_beyond_the_presets(kappa1, kappa2, gamma2, gamma3,
     eps_c = pulsing_threshold(p, (1e-2 * scale, 1e2 * scale)).eps_critical
     p = replace(p, epsilon=frac * eps_c * np.exp(1j * phase))
     ss = require_steady_state(p)
-    ode = find_steady_state(p, t_max=3000.0)
+    ode = relax_from_vacuum(p, t_max=3000.0)
     assert ode.converged
     assert np.abs(ss.state.alpha - ode.state.alpha).max() < 1e-9
 
@@ -200,3 +206,17 @@ def test_threshold_diverges_in_linear_cavity_limit():
     p = replace(REGIME_PRESETS[1], kappa1=1e-12)
     with pytest.raises(NoThresholdInRange):
         pulsing_threshold(p, (100.0, 5000.0))
+
+
+def test_package_import_leaves_out_the_ode_integrator():
+    # The ODE relaxation is a test oracle; the package and its command line
+    # find steady states without scipy.integrate, so must not import it.
+    code = ("import sys, harmoniccascade.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
