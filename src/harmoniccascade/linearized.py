@@ -115,8 +115,8 @@ def build_diffusion(p: SystemParams, ss: FieldState) -> np.ndarray:
     Entries are the squared noise coefficients of the stochastic equations;
     negative diagonal entries are legitimate in the doubled phase space.
     """
-    return np.diag(np.array(
-        [*noise_variances(ss.alpha, ss.alpha_plus, p), 0, 0], dtype=complex))
+    a, b = noise_variances(ss.alpha, p), noise_variances(ss.alpha_plus, p)
+    return np.diag(np.array([a[0], b[0], a[1], b[1], 0, 0], dtype=complex))
 
 
 @dataclass(frozen=True)

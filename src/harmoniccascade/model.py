@@ -23,6 +23,7 @@ __all__ = [
     "NonPositiveRate",
     "NonHermitianResidue",
     "validate_params",
+    "half_drift",
     "doubled_drift",
     "noise_variances",
     "quad_index_x",
@@ -94,34 +95,39 @@ def validate_params(p: SystemParams) -> None:
             "divide every rate and the pump by gamma1")
 
 
-def doubled_drift(a, b, p: SystemParams) -> tuple:
-    """Deterministic right-hand sides of the doubled-phase-space equations.
+def half_drift(x, y, e, p: SystemParams) -> tuple:
+    """Drifts (f1, f2, f3) of the amplitudes x1..x3 of one phase-space half:
+    the one definition of the equations of motion.
 
-    a and b are the plain and plus amplitudes of modes 1..3, each either a
-    triple of complex scalars or a (3, n) array whose rows hold a batch of
-    trajectories.  Returns (f1, f2, f3, g1, g2, g3), the drifts of a1..a3
-    and b1..b3.  This is the one definition of the equations of motion: the
-    ODE and the ensemble integrate it; stationary points are checked on it.
+    y holds the partner half and e the pump x sees: f(a, b, epsilon) drives
+    alpha, f(b, a, conj(epsilon)) alpha_plus.  x and y index modes first, as
+    scalar triples or arrays; a stacked state s with s[i] = (a_i, b_i) is
+    served whole by x = s, y = s[:, ::-1] and e = [[epsilon], [conj(epsilon)]].
     """
-    a1, a2, a3 = a
-    b1, b2, b3 = b
+    x1, x2, x3 = x
+    y1, y2, y3 = y
     k1, k2 = p.kappa1, p.kappa2
+    return (e - p.gamma1 * x1 + k1 * y1 * x2,
+            -p.gamma2 * x2 + k2 * y2 * x3 - 0.5 * k1 * x1 * x1,
+            -p.gamma3 * x3 - 0.5 * k2 * x2 * x2)
+
+
+def doubled_drift(a, b, p: SystemParams) -> tuple:
+    """Drifts (f1, f2, f3, g1, g2, g3) of a1..a3 and b1..b3: half_drift of
+    each half, taking a and b as half_drift takes x.  Stationary points are
+    checked on it."""
     e = complex(p.epsilon)
-    return (e - p.gamma1 * a1 + k1 * b1 * a2,
-            -p.gamma2 * a2 + k2 * b2 * a3 - 0.5 * k1 * a1 * a1,
-            -p.gamma3 * a3 - 0.5 * k2 * a2 * a2,
-            e.conjugate() - p.gamma1 * b1 + k1 * a1 * b2,
-            -p.gamma2 * b2 + k2 * a2 * b3 - 0.5 * k1 * b1 * b1,
-            -p.gamma3 * b3 - 0.5 * k2 * b2 * b2)
+    return half_drift(a, b, e, p) + half_drift(b, a, e.conjugate(), p)
 
 
-def noise_variances(a, b, p: SystemParams) -> tuple:
-    """Squared noise coefficients on (a1, b1, a2, b2); mode 3 is noiseless.
+def noise_variances(x, p: SystemParams) -> tuple:
+    """Squared noise coefficients on x1 and x2; mode 3 is noiseless.
 
-    Takes a and b as doubled_drift does.  These are the diagonal of the
-    diffusion matrix; they may be negative or complex in the doubled space.
+    Takes x as half_drift does, so a stacked state s gives the variances on
+    (a1, b1) and (a2, b2).  These are the diagonal of the diffusion matrix;
+    they may be negative or complex in the doubled space.
     """
-    return p.kappa1 * a[1], p.kappa1 * b[1], p.kappa2 * a[2], p.kappa2 * b[2]
+    return p.kappa1 * x[1], p.kappa2 * x[2]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -10,7 +10,11 @@ oracle for the deterministic steady states and the linearized covariances.
 Scheme: Euler-Maruyama with fixed step.  The drift is not globally
 Lipschitz, so trajectories can escape to infinity in finite time; amplitudes
 beyond a hard cap are classified as divergent and excluded from averages
-rather than silently integrated on.
+rather than silently integrated on.  The ensemble is one (3, 2, n_traj)
+array s with s[i] = (alpha_i, alpha_i_plus), the order of
+FieldState.doubled(): the alpha_plus equations are the alpha equations with
+the halves swapped and the pump conjugated, so each model.half_drift term
+is one array operation over both halves.
 
 Reproducibility contract: the generator is counter-based (Philox keyed by
 the seed) and the run consumes one (4, n_traj) block of standard normals per
@@ -33,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (FieldState, SystemParams, doubled_drift,
-                    noise_variances, validate_params)
+from .model import (FieldState, SystemParams, half_drift, noise_variances,
+                    validate_params)
 
 __all__ = [
     "EnsembleMoments",
@@ -48,13 +52,16 @@ __all__ = [
 _AMPLITUDE_CAP = 1e6
 # Fraction of divergent trajectories above which results are unreliable.
 _DIVERGENCE_BUDGET = 0.01
-# Ensemble width from which the noise is drawn on a worker thread.  Handing
-# a chunk to and from the thread costs about the same at any width, while
-# the draw it hides grows with the width (Philox fills the chunk without
-# the GIL, and a wide step's ufuncs release it too).  Medians of 6
-# alternating runs per width, regime 1, 2-core host, pipelined against
-# serial in scaled us per step: 129 vs 95 at 300 trajectories, 165 vs 122
-# at 500, 155 vs 157 at 700, 186 vs 214 at 1000, 361 vs 480 at 2000.
+# Ensemble width from which the noise is drawn on a worker thread.  Handing a
+# chunk to and from the thread costs about the same at any width, while the
+# draw it hides grows with the width (Philox fills the chunk without the GIL,
+# and a wide step's ufuncs release it too).  Medians of 6 to 10 alternating
+# runs per width and pass, regime 1, 2-core shared host, pipelined against
+# serial in scaled us per step, ranges over passes: 82-96 vs 79-90 at 300,
+# 124-129 vs 117-127 at 500, 156-167 vs 147-156 at 700, 153-216 vs 194-210 at
+# 1000, 301-462 vs 413-455 at 2000 trajectories.  Below 1000 the thread never
+# paid; from 1000 it pays while the second core is free and costs at most 7%
+# when it is not.
 _PIPELINE_MIN_TRAJ = 1000
 # Steps of noise drawn by one generator call, as one (m, 4, n_traj) array.
 # The generator keeps no state between calls but its Philox counter, so a
@@ -134,21 +141,18 @@ def _noise_blocks(rng: np.random.Generator, n_traj: int, n_steps: int):
         yield ahead()
 
 
-def _apply_step(a: np.ndarray, b: np.ndarray, p: SystemParams, dt: float,
+def _apply_step(s: np.ndarray, e: np.ndarray, p: SystemParams, dt: float,
                 noise: np.ndarray) -> None:
-    # In-place Euler-Maruyama update of (3, n) arrays; noise coefficients use
-    # the pre-step state (Ito reading, which the equations' form makes
-    # equivalent to Stratonovich for the moments of interest).
-    sdt = np.sqrt(dt)
-    na1, nb1, na2, nb2 = [np.sqrt(v) * (sdt * w)
-                          for v, w in zip(noise_variances(a, b, p), noise)]
-    for row, drift in zip((*a, *b), doubled_drift(a, b, p)):
+    # In-place Euler-Maruyama update of the state s, e the halves' pumps;
+    # noise coefficients use the pre-step state (Ito reading, which the
+    # equations' form makes equivalent to Stratonovich for these moments).
+    kicks = [np.sqrt(v) * w for v, w in
+             zip(noise_variances(s, p), np.sqrt(dt) * noise.reshape(2, 2, -1))]
+    for row, drift in zip(s, half_drift(s, s[:, ::-1], e, p)):
         drift *= dt
         row += drift
-    a[0] += na1
-    b[0] += nb1
-    a[1] += na2
-    b[1] += nb2
+    for row, kick in zip(s, kicks):
+        row += kick
 
 
 def _mean_and_stderr(values: np.ndarray):
@@ -222,23 +226,18 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
 
     if initial is None:
         initial = FieldState.vacuum()
-    a = np.tile(np.asarray(initial.alpha, dtype=complex).reshape(3, 1), (1, n_traj))
-    b = np.tile(np.asarray(initial.alpha_plus, dtype=complex).reshape(3, 1), (1, n_traj))
+    s = np.tile(initial.doubled().reshape(3, 2, 1), (1, 1, n_traj))
+    e = np.array([[p.epsilon], [np.conj(p.epsilon)]], dtype=complex)  # (2, 1)
     alive = np.ones(n_traj, dtype=bool)
     rng = make_rng(seed)
 
     n_samples = len(sample_steps)
-    means = np.empty((n_samples, 6), dtype=complex)
-    means_se = np.empty((n_samples, 6), dtype=complex)
-    m2 = np.empty((n_samples, 6, 6), dtype=complex)
-    m2_se = np.empty((n_samples, 6, 6), dtype=complex)
-    fcov = np.empty((n_samples, 6, 6), dtype=complex)
-    fcov_se = np.empty((n_samples, 6, 6), dtype=complex)
+    means, means_se = np.empty((2, n_samples, 6), dtype=complex)
+    m2, m2_se, fcov, fcov_se = np.empty((4, n_samples, 6, 6), dtype=complex)
 
     def record(slot: int) -> None:
-        v = np.empty((6, int(alive.sum())), dtype=complex)
-        v[0::2] = a[:, alive]
-        v[1::2] = b[:, alive]
+        # C-ordered, unlike [:, alive], so the means sum in the same order
+        v = s.reshape(6, n_traj).compress(alive, axis=1)
         if v.shape[1] == 0:
             raise ExcessiveDivergence("all trajectories diverged")
         means[slot], means_se[slot] = _mean_and_stderr(v)
@@ -253,23 +252,18 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
     with (np.errstate(invalid="ignore", over="ignore"),
           _noise_blocks(rng, n_traj, n_steps) as blocks):
         for step, noise in enumerate(blocks, start=1):
-            _apply_step(a, b, p, dt, noise)
+            _apply_step(s, e, p, dt, noise)
             if step % 200 == 0 or step == n_steps or step == next_step:
-                ok = (np.isfinite(a).all(axis=0) & np.isfinite(b).all(axis=0)
-                      & (np.abs(a).max(axis=0) <= _AMPLITUDE_CAP)
-                      & (np.abs(b).max(axis=0) <= _AMPLITUDE_CAP))
+                # max propagates NaN, and NaN <= cap is False
+                ok = np.abs(s).max(axis=(0, 1)) <= _AMPLITUDE_CAP
                 newly_dead = alive & ~ok
                 if newly_dead.any():
                     alive &= ok
                     # park escaped columns so they stop producing overflow
-                    a[:, newly_dead] = 0
-                    b[:, newly_dead] = 0
+                    s[..., newly_dead] = 0
             if step == next_step:
                 record(next_slot)
-                try:
-                    next_slot, next_step = next(sample_iter)
-                except StopIteration:
-                    next_step = -1
+                next_slot, next_step = next(sample_iter, (None, -1))
 
     divergent = int(n_traj - alive.sum())
     result = EnsembleMoments(

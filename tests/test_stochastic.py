@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import first_order_mean_shift, interleaved_drift
 from harmoniccascade import FieldState, SystemParams, run_ensemble, stochastic
+from harmoniccascade.model import doubled_drift, noise_variances
 from harmoniccascade.stochastic import ExcessiveDivergence, make_rng
 
 
@@ -90,6 +91,49 @@ def test_step_escape_raises(regime1):
     s = FieldState.classical([9e5, 9e5, 9e5])
     with pytest.raises(ExcessiveDivergence, match="all trajectories"):
         run_ensemble(regime1, dt=1.0, t_end=1.0, n_traj=1, initial=s)
+
+
+def test_step_escape_in_plus_half_alone_raises(regime1):
+    # alpha stays small while alpha_plus is past the cap after one step, so
+    # a divergence check that skipped the plus half would let it through.
+    s = FieldState(alpha=[0.1, 0, 0], alpha_plus=[2e6, 0, 0])
+    with pytest.raises(ExcessiveDivergence, match="all trajectories diverged"):
+        run_ensemble(regime1, dt=1e-3, t_end=1e-3, n_traj=1, initial=s)
+
+
+def test_stacked_step_matches_row_by_row_equations_bit_for_bit():
+    # The ensemble steps both phase-space halves as one stacked array.  The
+    # same equations applied row by row on (3, n) arrays, with the same
+    # Philox blocks, must give the same bits: a swapped row, a misplaced
+    # noise or an unconjugated pump would move every sampled moment.
+    p = SystemParams(5e-3, 2e-2, 80.0 + 30.0j, 1.0, 0.5, 0.5)
+    s0 = FieldState(alpha=[0.3 + 0.1j, 2.0 - 1.0j, 0.5j],
+                    alpha_plus=[0.25 - 0.05j, -1.0 + 0.3j, 0.2])
+    dt, n_steps, n, seed = 1e-3, 4, 5, 8
+    m = run_ensemble(p, dt=dt, t_end=n_steps * dt, n_traj=n, seed=seed,
+                     initial=s0)
+    rng = make_rng(seed)
+    a = np.tile(s0.alpha[:, None], (1, n))
+    b = np.tile(s0.alpha_plus[:, None], (1, n))
+    samples = []
+    for step in range(1, n_steps + 1):
+        (va1, va2), (vb1, vb2) = noise_variances(a, p), noise_variances(b, p)
+        kicks = [np.sqrt(v) * (np.sqrt(dt) * w) for v, w in
+                 zip((va1, vb1, va2, vb2), rng.standard_normal((4, n)))]
+        for row, drift in zip((*a, *b), doubled_drift(a, b, p)):
+            row += drift * dt
+        for row, kick in zip((a[0], b[0], a[1], b[1]), kicks):
+            row += kick
+        if step in (2, 3, 4):  # half, three quarters and the end of the run
+            v = np.empty((6, n), dtype=complex)
+            v[0::2], v[1::2] = a, b
+            samples.append(v)
+    v = np.array(samples)
+    np.testing.assert_array_equal(m.t_grid, [2 * dt, 3 * dt, 4 * dt])
+    np.testing.assert_array_equal(m.means, v.mean(axis=-1))
+    np.testing.assert_array_equal(
+        m.second_doubled, (v[:, :, None] * v[:, None, :]).mean(axis=-1))
+    assert m.divergent == 0
 
 
 def test_single_trajectory_reproduces_ensemble_stream(regime1):
