@@ -7,25 +7,25 @@ stationary spectrum
 
     S(omega) = (A + i omega)^-1 D (A^T - i omega)^-1,
 
-so B is never formed and no square-root branch choice is needed here.  It is
-evaluated in the eigenbasis of A (the modal solution of the OU spectrum):
-with A = V L V^-1 and C = V^-1 D V^-T, splitting each product of two poles
-into partial fractions gives a sum of twelve simple poles
+so B is never formed and no square-root branch choice is needed here.  Only
+its symmetric part M = S + S^T reaches any output.  In the eigenbasis of A,
+A = V L V^-1 and C = V^-1 D V^-T, partial fractions give S = sum_j P_j /
+(l_j + i omega) + P_j^T / (l_j - i omega), so M has six simple poles
 
-    S(omega) = sum_j P_j / (l_j + i omega) + P_j^T / (l_j - i omega),
+    M(omega) = sum_j R_j 2 l_j / (l_j^2 + omega^2),   R_j = P_j + P_j^T,
     P_j = v_j (C' V^T)_j,   C'_jk = C_jk / (l_j + l_k),
 
-whose residues are fixed 6x6 matrices: one eigendecomposition per call and
-one small product per frequency.  The eigenvalues also bound the resolvent
-conditioning, so the exact condition number is computed only where that
-bound comes near the warning threshold.  A nearly defective A (large
-cond(V)) falls back to two linear solves per frequency.
+with fixed symmetric residues (the modal solution of the OU spectrum): one
+eigendecomposition per call, one small product per frequency.  The
+eigenvalues also bound the resolvent conditioning, so the exact condition
+number is computed only where that bound comes near the warning threshold.
+A nearly defective A (large cond(V)) falls back to two solves per frequency.
 
 The measured output spectra are read in the quadrature basis
 (X1, Y1, X2, Y2, X3, Y3), where input-output theory applies the mirror
 couplings and adds the vacuum floor:
 
-    S_out[p, q] = delta_pq + sqrt(gamma_p gamma_q) (Sq[p, q] + Sq[q, p]).
+    S_out[p, q] = delta_pq + sqrt(gamma_p gamma_q) M_q[p, q].
 
 The spectrum itself is computed in that basis: A_q = Q A Q^-1 and
 D_q = Q D Q^T are real for every classical state, so the output is real up
@@ -64,9 +64,12 @@ _I6 = np.eye(6)
 # X_i = da_i + da_i+, Y_i = -i (da_i - da_i+), the same block for each mode.
 _QUAD_MAP = np.kron(np.eye(3), [[1, 1], [-1j, 1j]])
 _QUAD_INV = _QUAD_MAP.conj().T / 2
+# The 21 upper-triangle entries of a 6x6 matrix; M[a, b] and M[b, a] read _SYM.
+_UPPER = np.triu_indices(6)
+_SYM = np.zeros((6, 6), dtype=int)
+_SYM[_UPPER] = _SYM.T[_UPPER] = np.arange(21)
 
-# Residual imaginary part allowed in the quadrature-basis drift and diffusion
-# and in the symmetrized quadrature spectrum.
+# Largest imaginary part allowed in the quadrature drift, diffusion and M.
 _IMAG_TOL = 1e-10
 _COND_WARN = 1e12
 # Largest cond(V) for which the modal route is used.  Its roundoff grows like
@@ -135,17 +138,24 @@ class DriftDiffusion:
         return cls(a_matrix=A, d_matrix=D)
 
 
+def _pole_residues(lam, V, D) -> np.ndarray:
+    """Upper triangles (6, 21) of the residues R_j of M (module docstring)."""
+    Vinv = np.linalg.inv(V)
+    C = (Vinv @ D @ Vinv.T) / (lam[:, None] + lam)
+    P = V.T[:, :, None] * (C @ V.T)[:, None, :]    # P[j] = v_j (C V^T)_j
+    return (P + P.mT)[:, _UPPER[0], _UPPER[1]]
+
+
 def intracavity_spectrum(A: np.ndarray, D: np.ndarray,
                          omega: float | np.ndarray) -> np.ndarray:
-    """S(omega) = (A + i omega)^-1 D (A^T - i omega)^-1 by the modal route.
+    """M = S + S^T, S = (A + i omega)^-1 D (A^T - i omega)^-1, as six poles.
 
-    A^T is the plain transpose, not the conjugate transpose.  A scalar omega
-    gives one 6x6 matrix, an array of n frequencies an (n, 6, 6) stack.  One
-    eigendecomposition A = V L V^-1 gives the twelve pole residues that
-    serve every frequency (module docstring); the partial fractions need
-    l_j + l_k != 0, which every stable A (all Re l_j > 0) satisfies.  When
-    cond(V) exceeds _MODAL_COND_MAX (A close to defective) two
-    partial-pivoted solves per frequency are used instead.
+    A^T is the plain transpose.  A scalar omega gives one exactly symmetric
+    6x6 matrix, n frequencies an (n, 6, 6) stack.  One eigendecomposition
+    A = V L V^-1 gives the six residues for every frequency (module
+    docstring); partial fractions need l_j + l_k != 0, true for every stable
+    A (all Re l_j > 0).  When cond(V) exceeds _MODAL_COND_MAX (A close to
+    defective), two partial-pivoted solves per frequency give S instead.
 
     One RuntimeWarning names the worst-conditioned frequency when any
     resolvent has a condition number above 1e12 or a non-finite one.  As
@@ -175,20 +185,16 @@ def intracavity_spectrum(A: np.ndarray, D: np.ndarray,
     if modal:
         if not dist.all():    # as the solves, refuse an exactly singular one
             raise np.linalg.LinAlgError("Singular matrix")
-        Vinv = np.linalg.inv(V)
-        C = (Vinv @ D @ Vinv.T) / (lam[:, None] + lam)
-        P = V.T[:, :, None] * (C @ V.T)[:, None, :]    # P[j] = v_j (C V^T)_j
-        residues = np.concatenate([P, P.mT]).reshape(12, 36)
-        shift = 1j * wf[:, None]
-        poles = 1 / np.concatenate([lam + shift, lam - shift], axis=1)
-        # one (1, 12) @ (12, 36) product per frequency, so a grid item equals
-        # the one-point result bit for bit (a single (n, 12) GEMM would not)
-        S = poles[:, None, :] @ residues
-        return S.reshape(w.shape + (6, 6))
+        weight = 2 * lam / (lam ** 2 + wf[:, None] ** 2)
+        # one (1, 6) @ (6, 21) product per frequency, so a grid item equals
+        # the one-point result bit for bit (a single (n, 6) GEMM would not)
+        M = (weight[:, None, :] @ _pole_residues(lam, V, D))[:, 0, _SYM]
+        return M.reshape(w.shape + (6, 6))
     w = w[..., None, None]
     Y = np.linalg.solve(A + 1j * w * _I6, D)
     # S = Y (A^T - i omega)^-1, computed as a solve against the transpose.
-    return np.linalg.solve(A - 1j * w * _I6, Y.mT).mT
+    S = np.linalg.solve(A - 1j * w * _I6, Y.mT).mT
+    return S + S.mT
 
 
 @dataclass(frozen=True)
@@ -197,11 +203,8 @@ class SpectrumResult:
 
     Over n frequencies omega is an array and s_quad one QuadCovariance
     stack; at one frequency omega is a scalar and s_quad one 6x6 matrix.
-    s_quad is computed in the real quadrature basis from the pole-residue
-    form of the intracavity spectrum (module docstring), after a check that
-    the quadrature drift and diffusion are real.  len() counts the
-    frequencies, and indexing along omega gives the spectra there: an int
-    one frequency, a slice a sub-grid.
+    len() counts the frequencies, and indexing along omega gives the
+    spectra there: an int one frequency, a slice a sub-grid.
     """
 
     omega: float | np.ndarray
@@ -223,13 +226,11 @@ def spectrum_grid(p: SystemParams, dd: DriftDiffusion,
     """Output spectra over a frequency grid (default grid when omegas is None).
 
     A scalar omega gives the spectra at that one frequency.  The drift and
-    diffusion are moved to the quadrature basis, where they must be real: an
-    imaginary part above tolerance means the state is not classical and
-    raises NonHermitianResidue.  All frequencies are then evaluated as one
-    stack; the output spectrum symmetrizes, scales by the mirror couplings
-    and adds the vacuum floor.  It must be real too; a residual imaginary
-    part above tolerance signals an upstream bug and raises
-    NonHermitianResidue.
+    diffusion are moved to the quadrature basis, where they must be real
+    (else the state is not classical), and M = S + S^T, evaluated over all
+    frequencies as one stack, must be real too (else an upstream bug); an
+    imaginary part above tolerance raises NonHermitianResidue.  M is scaled
+    by the mirror couplings over the vacuum floor.
     """
     omegas = default_omega_grid() if omegas is None else np.array(
         omegas, dtype=float)[()]    # [()] keeps a scalar omega a scalar
@@ -237,11 +238,9 @@ def spectrum_grid(p: SystemParams, dd: DriftDiffusion,
     D = _QUAD_MAP @ dd.d_matrix @ _QUAD_MAP.T
     imag = max(np.abs(A.imag).max(), np.abs(D.imag).max())
     if imag > _IMAG_TOL:
-        raise NonHermitianResidue(
-            f"imaginary residue {imag:.3e} in the quadrature-basis drift "
-            f"or diffusion")
-    Sq = intracavity_spectrum(A.real, D.real, omegas)
-    M = Sq + Sq.mT
+        raise NonHermitianResidue(f"imaginary residue {imag:.3e} in the "
+                                  "quadrature-basis drift or diffusion")
+    M = intracavity_spectrum(A.real, D.real, omegas)
     imag = np.abs(M.imag).max(axis=(-2, -1)).reshape(-1)
     if np.any(imag > _IMAG_TOL):
         worst = np.nanargmax(imag)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
@@ -22,7 +22,8 @@ from harmoniccascade import (
     spectrum_grid,
 )
 from harmoniccascade.model import quad_index_x, quad_index_y
-from harmoniccascade.linearized import _MODAL_COND_MAX, _QUAD_INV, _QUAD_MAP
+from harmoniccascade.linearized import (_MODAL_COND_MAX, _QUAD_INV, _QUAD_MAP,
+                                        _SYM, _pole_residues)
 
 # Frozen eigenvalue sets at the preset operating points (sorted by real
 # part, then imaginary part).
@@ -144,16 +145,17 @@ def _output_by_two_solves(p, dd, w):
 @example(regime=1, frac=105 / 230.4, phase=0.0, omegas=[0.0, 0.731, 4.2])
 @settings(max_examples=30, deadline=None)
 def test_intracavity_spectrum_matches_direct_inverse(regime, frac, phase, omegas):
-    # Over the stable branch of both presets the modal spectrum equals the
-    # two-solve resolvent product; the output spectra are even in omega for a
-    # real pump and respect the uncertainty bound.
+    # Over the stable branch of both presets the modal S + S^T equals that of
+    # the two-solve resolvent product; the output spectra are even in omega
+    # for a real pump and respect the uncertainty bound.
     p = replace(REGIME_PRESETS[regime],
                 epsilon=frac * THRESHOLDS[regime] * np.exp(1j * phase))
     dd = DriftDiffusion.from_steady_state(p, require_steady_state(p).state)
     w = np.concatenate([-np.array(omegas), omegas])
-    S = intracavity_spectrum(dd.a_matrix, dd.d_matrix, w)
-    ref = _two_solves(dd.a_matrix, dd.d_matrix, w)
-    err = np.abs(S - ref).max(axis=(1, 2))
+    M = intracavity_spectrum(dd.a_matrix, dd.d_matrix, w)
+    S = _two_solves(dd.a_matrix, dd.d_matrix, w)
+    ref = S + S.mT
+    err = np.abs(M - ref).max(axis=(1, 2))
     assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(1, 2)))
     out = spectrum_grid(p, dd, w).s_quad
     if phase == 0.0:
@@ -205,11 +207,12 @@ def test_near_defective_drift_takes_two_solves(cond_calls):
     D = np.diag([1.0, -2.0, 3.0, 0.5, 0.0, 0.0]).astype(complex)
     D[0, 2] = D[2, 0] = 0.3
     w = np.array([0.0, 0.7, -3.0])
-    S = intracavity_spectrum(A, D, w)
+    M = intracavity_spectrum(A, D, w)
     for k, wk in enumerate(w):
-        ref = (np.linalg.inv(A + 1j * wk * np.eye(6)) @ D
-               @ np.linalg.inv(A.T - 1j * wk * np.eye(6)))
-        assert np.abs(S[k] - ref).max() <= 1e-12 * np.abs(ref).max()
+        S = (np.linalg.inv(A + 1j * wk * np.eye(6)) @ D
+             @ np.linalg.inv(A.T - 1j * wk * np.eye(6)))
+        ref = S + S.T
+        assert np.abs(M[k] - ref).max() <= 1e-12 * np.abs(ref).max()
     # the fallback checks the condition number at every frequency
     assert cond_calls == [3]
 
@@ -368,18 +371,63 @@ def _whole_line_rule():
 @example(frac=105 / 896.0, phase=0.0)
 @settings(max_examples=20, deadline=None)
 def test_spectrum_integral_recovers_lyapunov(regime, frac, phase):
-    # (1/2pi) integral of S over all omega is the stationary covariance, over
-    # the stable branch of both presets up to 0.97 of threshold.  There the
-    # rule stays within 6.2e-11 of max|C|; nearer threshold the spectral
-    # peaks narrow past what 800 panels resolve.
+    # (1/2pi) integral of S + S^T over all omega is C + C^T, C the stationary
+    # covariance, over the stable branch of both presets up to 0.97 of
+    # threshold.  There the rule stays within 6.2e-11 of max|C|; nearer
+    # threshold the spectral peaks narrow past what 800 panels resolve (the
+    # residue sum rule below covers that range exactly).
     p = replace(REGIME_PRESETS[regime],
                 epsilon=frac * THRESHOLDS[regime] * np.exp(1j * phase))
     dd = DriftDiffusion.from_steady_state(p, require_steady_state(p).state)
     C = lyapunov_covariance(dd.a_matrix, dd.d_matrix)
     omega, weight = _whole_line_rule()
-    S = intracavity_spectrum(dd.a_matrix, dd.d_matrix, omega)
-    integral = np.tensordot(weight, S, axes=1) / (2 * np.pi)
-    assert np.abs(integral - C).max() <= 1e-9 * np.abs(C).max()
+    M = intracavity_spectrum(dd.a_matrix, dd.d_matrix, omega)
+    integral = np.tensordot(weight, M, axes=1) / (2 * np.pi)
+    assert np.abs(integral - (C + C.T)).max() <= 1e-9 * np.abs(C).max()
+
+
+@given(regime=st.sampled_from([1, 2]),
+       frac=st.floats(0.02, 0.998),
+       phase=st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)))
+@example(regime=1, frac=0.998, phase=0.0)
+@example(regime=1, frac=0.998, phase=2.0)
+@example(regime=2, frac=0.998, phase=0.0)
+@example(regime=2, frac=0.998, phase=-1.0)
+@settings(max_examples=30, deadline=None)
+def test_pole_residues_sum_to_lyapunov(regime, frac, phase):
+    # Each pole weight 2 l / (l^2 + omega^2) integrates to 1 over
+    # d omega / 2 pi, so the six residues of M sum to C + C^T exactly: the
+    # integral check above without quadrature, up to 0.998 of threshold.
+    # The residues are those the library uses, in the quadrature basis.
+    p = replace(REGIME_PRESETS[regime],
+                epsilon=frac * THRESHOLDS[regime] * np.exp(1j * phase))
+    dd = DriftDiffusion.from_steady_state(p, require_steady_state(p).state)
+    A = (_QUAD_MAP @ dd.a_matrix @ _QUAD_INV).real
+    D = (_QUAD_MAP @ dd.d_matrix @ _QUAD_MAP.T).real
+    lam, V = np.linalg.eig(A)
+    assume(np.linalg.cond(V) <= _MODAL_COND_MAX)    # else two solves are used
+    C = lyapunov_covariance(A, D)
+    total = _pole_residues(lam, V, D).sum(axis=0)[_SYM]
+    assert np.abs(total - (C + C.T)).max() <= 1e-10 * np.abs(C).max()
+
+
+@pytest.mark.parametrize("regime", [1, 2])
+def test_output_spectra_exactly_symmetric(regime, request):
+    out = request.getfixturevalue(f"spectra{regime}").s_quad.matrix
+    np.testing.assert_array_equal(out, out.mT)
+
+
+def test_fallback_output_symmetric_and_pointwise(cond_calls):
+    # The two-solve route (regime 2 at pump 57.176) is symmetric exactly as
+    # well, and each grid item equals the one-point result bit for bit.
+    p = replace(REGIME_PRESETS[2], epsilon=57.176)
+    dd = DriftDiffusion.from_steady_state(p, require_steady_state(p).state)
+    out = spectrum_grid(p, dd)
+    assert cond_calls == [801]    # the fallback's full-grid check
+    np.testing.assert_array_equal(out.s_quad.matrix, out.s_quad.matrix.mT)
+    for k in (0, 137, 400, 800):
+        one = spectrum_grid(p, dd, out.omega[k])
+        np.testing.assert_array_equal(one.s_quad.matrix, out.s_quad.matrix[k])
 
 
 def test_lyapunov_matches_scipy_oracle_and_phase_gauge(dd1):
