@@ -18,14 +18,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import REGIME_PRESETS, __version__
 from .correlations import OBR_ORDER, PAIR_ORDER, TRIPLE_ORDER, evaluate_grid
-from .linearized import DriftDiffusion, spectrum_grid
+from .linearized import DriftDiffusion, default_omega_grid, spectrum_grid
 from .model import (NonHermitianResidue, NonPositiveRate, SystemParams,
                     validate_params)
 from .semiclassical import (NoThresholdInRange, NotStationary,
@@ -43,28 +43,9 @@ __all__ = [
     "main",
 ]
 
-MODES = ("steady", "spectra", "correlations", "stochastic", "threshold",
-         "figures")
-
 _PARAM_KEYS = ("kappa1", "kappa2", "epsilon", "gamma1", "gamma2", "gamma3")
-
-# Run settings: config-file key -> (type, default).  A flag of the same name
-# (dashes for underscores) sets each one, except the grid keys, which
-# --omega-range sets together.
-_SETTINGS = {
-    "omega_min": (float, -20.0),
-    "omega_max": (float, 20.0),
-    "omega_steps": (int, 801),
-    "seed": (int, 0),
-    "out": (str, "."),
-    "dt": (float, 1e-3),
-    "t_end": (float, 50.0),
-    "n_traj": (int, 1000),
-}
 _GRID_KEYS = ("omega_min", "omega_max", "omega_steps")
-# Every key a config file may hold, with the type of its value.
-_FILE_KEYS = {**dict.fromkeys(_PARAM_KEYS, float), "mode": str, "regime": int,
-              **{key: typ for key, (typ, _) in _SETTINGS.items()}}
+_DEFAULT_GRID = default_omega_grid()
 
 # Scan window for threshold mode; wide enough to bracket the instability of
 # both presets with room to spare.
@@ -81,18 +62,24 @@ class IoError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run description; validates itself on construction."""
+    """Fully resolved run description; validates itself on construction.
+
+    The fields ``omega_min`` to ``n_traj`` are the run settings, the one
+    declaration of their names, defaults and types: each is a config-file
+    key and a flag (dashes for underscores), except that ``--omega-range``
+    sets the three grid keys together.
+    """
 
     params: SystemParams
     mode: str
-    omega_min: float = _SETTINGS["omega_min"][1]
-    omega_max: float = _SETTINGS["omega_max"][1]
-    omega_steps: int = _SETTINGS["omega_steps"][1]
-    output_path: str = _SETTINGS["out"][1]
-    seed: int = _SETTINGS["seed"][1]
-    dt: float = _SETTINGS["dt"][1]
-    t_end: float = _SETTINGS["t_end"][1]
-    n_traj: int = _SETTINGS["n_traj"][1]
+    omega_min: float = float(_DEFAULT_GRID[0])
+    omega_max: float = float(_DEFAULT_GRID[-1])
+    omega_steps: int = _DEFAULT_GRID.size
+    seed: int = 0
+    out: str = "."
+    dt: float = 1e-3
+    t_end: float = 50.0
+    n_traj: int = 1000
     regime: int | None = None
     gnuplot: bool = False
 
@@ -138,6 +125,13 @@ class RunConfig:
         return g
 
 
+# Run setting -> type of its value, and every key a config file may hold.
+_SETTING_TYPES = {f.name: type(f.default) for f in fields(RunConfig)
+                  if f.name not in ("params", "mode", "regime", "gnuplot")}
+_FILE_KEYS = {**dict.fromkeys(_PARAM_KEYS, float), "mode": str, "regime": int,
+              **_SETTING_TYPES}
+
+
 def parse_config_file(path: str | Path) -> dict:
     """Read key = value lines; ``#`` starts a comment, blank lines ignored."""
     try:
@@ -180,7 +174,7 @@ def _make_parser() -> _Parser:
                         metavar="{" + ",".join(map(str, REGIME_PRESETS)) + "}")
     parser.add_argument("--epsilon", type=float)
     parser.add_argument("--omega-range", metavar="MIN:MAX:STEPS")
-    for key, (typ, _) in _SETTINGS.items():
+    for key, typ in _SETTING_TYPES.items():
         if key not in _GRID_KEYS:
             parser.add_argument("--" + key.replace("_", "-"), type=typ,
                                 metavar="DIR" if key == "out" else None)
@@ -208,8 +202,10 @@ def _join_omega_range(argv: list[str]) -> list[str]:
 def build_config(argv: list[str]) -> RunConfig:
     """Resolve flags plus optional config file into a validated RunConfig.
 
-    Each value comes from its flag, else the config file, else its default
-    (the regime preset's for the system parameters).
+    One merge sets the precedence: a flag outranks the config file, which
+    outranks the default (the ``RunConfig`` field's for a run setting, the
+    regime preset's for a system parameter).  ``--omega-range`` counts as
+    the flags of the three grid keys.
     """
     ns = _make_parser().parse_args(_join_omega_range(argv))
     if ns.mode_pos and ns.mode_flag and ns.mode_pos != ns.mode_flag:
@@ -217,45 +213,35 @@ def build_config(argv: list[str]) -> RunConfig:
                           f"{ns.mode_flag!r}")
     ns.mode = ns.mode_flag or ns.mode_pos
     entries = parse_config_file(ns.config) if ns.config else {}
-
-    def pick(key: str, default=None):
-        flag = getattr(ns, key, None)
-        return flag if flag is not None else entries.get(key, default)
-
-    mode = pick("mode")
+    if ns.omega_range is not None:
+        parts = ns.omega_range.split(":")
+        if len(parts) != 3:
+            raise ConfigParse("--omega-range expects MIN:MAX:STEPS")
+        try:
+            for key, text in zip(_GRID_KEYS, parts):
+                setattr(ns, key, _FILE_KEYS[key](text))
+        except ValueError as exc:
+            raise ConfigParse(f"bad --omega-range: {ns.omega_range!r}") from exc
+    got = {**entries, **{key: getattr(ns, key) for key in _FILE_KEYS
+                         if getattr(ns, key, None) is not None}}
+    mode = got.get("mode")
     if mode is None:
         raise ConfigParse("mode is required (positional or --mode)")
-    if mode == "figures" and (ns.epsilon is not None
-                              or not entries.keys().isdisjoint(_PARAM_KEYS)):
+    if mode == "figures" and not got.keys().isdisjoint(_PARAM_KEYS):
         raise ConfigParse("figures mode uses the regime presets; it takes "
                           "no --epsilon and no parameter keys")
-    regime = pick("regime")
+    regime = got.get("regime")
     # A regime means exactly its parameter set; only the pump may be changed.
     if regime is not None:
         for key in _PARAM_KEYS:
-            if key != "epsilon" and key in entries:
+            if key != "epsilon" and key in got:
                 raise ConfigParse(f"config key {key} conflicts with --regime")
     # Without a regime the rates default to preset 1; RunConfig rejects a
     # regime that has no preset.
     base = REGIME_PRESETS.get(regime, REGIME_PRESETS[1])
-
-    if ns.omega_range is not None:
-        fields = ns.omega_range.split(":")
-        if len(fields) != 3:
-            raise ConfigParse("--omega-range expects MIN:MAX:STEPS")
-        try:
-            for key, text in zip(_GRID_KEYS, fields):
-                setattr(ns, key, _SETTINGS[key][0](text))
-        except ValueError as exc:
-            raise ConfigParse(f"bad --omega-range: {ns.omega_range!r}") from exc
-
-    settings = {key: pick(key, default)
-                for key, (_, default) in _SETTINGS.items()}
-    return RunConfig(
-        params=SystemParams(**{key: pick(key, getattr(base, key))
-                               for key in _PARAM_KEYS}),
-        mode=mode, regime=regime, gnuplot=ns.gnuplot,
-        output_path=settings.pop("out"), **settings)
+    params = SystemParams(**{key: got.pop(key, getattr(base, key))
+                             for key in _PARAM_KEYS})
+    return RunConfig(params=params, gnuplot=ns.gnuplot, **got)
 
 
 def _fmt(value) -> str:
@@ -266,8 +252,8 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _param_lines(p: SystemParams) -> list[str]:
-    return [f"{key} = {_fmt(getattr(p, key))}" for key in _PARAM_KEYS]
+def _key_lines(obj, keys=_PARAM_KEYS) -> list[str]:
+    return [f"{key} = {_fmt(getattr(obj, key))}" for key in keys]
 
 
 def _write_csv(path: Path, meta: list[str], columns: list[str], rows,
@@ -288,27 +274,27 @@ def _write_csv(path: Path, meta: list[str], columns: list[str], rows,
     return path, list(columns)
 
 
-def _grid_meta(config: RunConfig) -> list[str]:
-    return [f"{key} = {_fmt(getattr(config, key))}" for key in _GRID_KEYS]
-
-
 def _spectra_for(p: SystemParams, config: RunConfig):
     ss = require_steady_state(p)
     dd = DriftDiffusion.from_steady_state(p, ss.state)
     return spectrum_grid(p, dd, config.omega_grid())
 
 
-# correlations.csv columns: name -> (CorrelationReport field, key into it
-# for the dict-valued fields); each column is an array over omega.
-_REPORT_COLUMNS = {
-    "omega": ("omega", None),
-    **{f"{name}_{i}{j}": (field, (i, j)) for i, j in PAIR_ORDER
-       for name, field in (("v", "v_pair"), ("gain", "gains"))},
-    **{f"v_{i}{j}{k}": ("v_triple", (i, j, k)) for i, j, k in TRIPLE_ORDER},
-    **{f"obr_{i}{j}{k}": ("obr", (i, j, k)) for i, j, k in OBR_ORDER},
-    "sum_v_pair": ("sum_v_pair", None),
-    "sum_obr": ("sum_obr", None),
-}
+def _report_columns(p: SystemParams, config: RunConfig) -> dict:
+    """Every criterion of ``p`` over the grid, by column name in file order."""
+    report = evaluate_grid(_spectra_for(p, config))
+    return {
+        "omega": report.omega,
+        **{f"{name}_{i}{j}": values[i, j] for i, j in PAIR_ORDER
+           for name, values in (("v", report.v_pair), ("gain", report.gains))},
+        **{f"v_{i}{j}{k}": report.v_triple[i, j, k]
+           for i, j, k in TRIPLE_ORDER},
+        **{f"obr_{i}{j}{k}": report.obr[i, j, k] for i, j, k in OBR_ORDER},
+        "sum_v_pair": report.sum_v_pair,
+        "sum_obr": report.sum_obr,
+    }
+
+
 # figures files: name stem -> (regimes that write it, columns after omega).
 _FIGURE_FILES = {
     "vij": ((2,), [f"v_{i}{j}" for i, j in PAIR_ORDER]),
@@ -327,13 +313,6 @@ _MOMENTS = (
 )
 
 
-def _report_rows(report, columns):
-    def column(field, key):
-        got = getattr(report, field)
-        return got if key is None else got[key]
-    return zip(*(column(*_REPORT_COLUMNS[c]) for c in columns))
-
-
 def _run_steady(config: RunConfig, out: Path):
     ss = require_steady_state(config.params)
     v = ss.state.doubled()
@@ -341,7 +320,7 @@ def _run_steady(config: RunConfig, out: Path):
                "alpha3_re", "alpha3_im", "residual"]
     row = [v[0].real, v[0].imag, v[2].real, v[2].imag, v[4].real, v[4].imag,
            ss.residual]
-    meta = ["mode = steady"] + _param_lines(config.params)
+    meta = ["mode = steady"] + _key_lines(config.params)
     return [_write_csv(out / "steady.csv", meta, columns, [row])]
 
 
@@ -350,17 +329,17 @@ def _run_spectra(config: RunConfig, out: Path):
     columns = ["omega", "vx1", "vy1", "vx2", "vy2", "vx3", "vy3"]
     diagonal = np.diagonal(spectra.s_quad.matrix, axis1=-2, axis2=-1)
     rows = zip(spectra.omega, *diagonal.T)
-    meta = (["mode = spectra"] + _param_lines(config.params)
-            + _grid_meta(config))
+    meta = (["mode = spectra"] + _key_lines(config.params)
+            + _key_lines(config, _GRID_KEYS))
     return [_write_csv(out / "spectra.csv", meta, columns, rows)]
 
 
 def _run_correlations(config: RunConfig, out: Path):
-    report = evaluate_grid(_spectra_for(config.params, config))
-    meta = (["mode = correlations"] + _param_lines(config.params)
-            + _grid_meta(config))
-    return [_write_csv(out / "correlations.csv", meta, list(_REPORT_COLUMNS),
-                       _report_rows(report, _REPORT_COLUMNS))]
+    report = _report_columns(config.params, config)
+    meta = (["mode = correlations"] + _key_lines(config.params)
+            + _key_lines(config, _GRID_KEYS))
+    return [_write_csv(out / "correlations.csv", meta, list(report),
+                       zip(*report.values()))]
 
 
 def _run_stochastic(config: RunConfig, out: Path):
@@ -373,10 +352,9 @@ def _run_stochastic(config: RunConfig, out: Path):
             se = getattr(m, f"{field}_stderr")[t_index][index]
             rows.append([t, name, val.real, val.imag,
                          np.hypot(se.real, se.imag)])
-    meta = (["mode = stochastic"] + _param_lines(config.params)
-            + [f"seed = {config.seed}", f"dt = {_fmt(config.dt)}",
-               f"t_end = {_fmt(config.t_end)}", f"n_traj = {config.n_traj}",
-               "stderr combines the real and imaginary standard errors "
+    meta = (["mode = stochastic"] + _key_lines(config.params)
+            + _key_lines(config, ("seed", "dt", "t_end", "n_traj"))
+            + ["stderr combines the real and imaginary standard errors "
                "in quadrature"])
     footer = [f"divergent = {m.divergent} of {m.n_traj}"]
     if not m.reliable:
@@ -389,7 +367,7 @@ def _run_threshold(config: RunConfig, out: Path):
     result = pulsing_threshold(config.params, _THRESHOLD_RANGE)
     columns = ["epsilon", "min_real_eigenvalue"]
     rows = list(zip(result.scan_eps, result.scan_stability))
-    meta = (["mode = threshold"] + _param_lines(config.params)
+    meta = (["mode = threshold"] + _key_lines(config.params)
             + [f"scan = {_fmt(_THRESHOLD_RANGE[0])} .. "
                f"{_fmt(_THRESHOLD_RANGE[1])}"])
     footer = [f"eps_critical = {_fmt(result.eps_critical)}",
@@ -403,14 +381,15 @@ def _run_figures(config: RunConfig, out: Path):
     written = []
     for regime in regimes:
         p = REGIME_PRESETS[regime]
-        report = evaluate_grid(_spectra_for(p, config))
-        meta = [f"regime = {regime}"] + _param_lines(p) + _grid_meta(config)
+        report = _report_columns(p, config)
+        meta = ([f"regime = {regime}"] + _key_lines(p)
+                + _key_lines(config, _GRID_KEYS))
         for stem, (file_regimes, names) in _FIGURE_FILES.items():
             if regime in file_regimes:
                 columns = ["omega"] + names
                 written.append(_write_csv(
                     out / f"{stem}_regime{regime}.csv", meta, columns,
-                    _report_rows(report, columns)))
+                    zip(*(report[c] for c in columns))))
     return written
 
 
@@ -422,6 +401,7 @@ _RUNNERS = {
     "threshold": _run_threshold,
     "figures": _run_figures,
 }
+MODES = tuple(_RUNNERS)
 
 # Exit code of each error main reports instead of raising.
 _EXIT_CODES = {ConfigParse: 2, NotStationary: 3, IoError: 4,
@@ -446,7 +426,7 @@ def _write_gnuplot(written: list[tuple[Path, list[str]]], out: Path) -> Path:
 
 def run(config: RunConfig) -> list[Path]:
     """Execute one mode and return the artifact paths it wrote."""
-    out = Path(config.output_path)
+    out = Path(config.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from harmoniccascade import (REGIME_PRESETS, NonHermitianResidue,
-                             SystemParams, cli)
+                             SystemParams, cli, default_omega_grid)
 from harmoniccascade.cli import (
     ConfigParse,
     RunConfig,
@@ -140,6 +140,69 @@ def test_config_file_roundtrip(tmp_path):
     # flags outrank the file
     assert build_config(["spectra", "--config", str(cfg_file),
                          "--seed", "1"]).seed == 1
+
+
+def test_default_grid_is_the_library_grid():
+    grid = build_config(["spectra"]).omega_grid()
+    assert grid.dtype == default_omega_grid().dtype
+    assert grid.tobytes() == default_omega_grid().tobytes()
+    assert np.count_nonzero(grid == 0.0) == 1
+
+
+# setting, its default, a config-file line, its value, flags, their value
+_PRECEDENCE = [
+    ("omega_min", -20.0, "omega_min = -10", -10.0,
+     ["--omega-range", "-5:5:11"], -5.0),
+    ("omega_max", 20.0, "omega_max = 10", 10.0,
+     ["--omega-range", "-5:5:11"], 5.0),
+    ("omega_steps", 801, "omega_steps = 101", 101,
+     ["--omega-range", "-5:5:11"], 11),
+    ("seed", 0, "seed = 9", 9, ["--seed", "1"], 1),
+    ("out", ".", "out = from-file", "from-file", ["--out", "from-flag"],
+     "from-flag"),
+    ("dt", 1e-3, "dt = 2e-3", 2e-3, ["--dt", "5e-3"], 5e-3),
+    ("t_end", 50.0, "t_end = 4", 4.0, ["--t-end", "2"], 2.0),
+    ("n_traj", 1000, "n_traj = 300", 300, ["--n-traj", "50"], 50),
+]
+
+
+@pytest.mark.parametrize("key, default, line, from_file, flags, from_flag",
+                         _PRECEDENCE, ids=[row[0] for row in _PRECEDENCE])
+def test_setting_precedence(key, default, line, from_file, flags, from_flag,
+                            tmp_path):
+    """Default < config file < flag, for every run setting."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(line + "\n", encoding="utf-8")
+    with_file = ["stochastic", "--config", str(cfg_file)]
+    for argv, want in ((["stochastic"], default), (with_file, from_file),
+                       (with_file + flags, from_flag)):
+        got = getattr(build_config(argv), key)
+        assert got == want and type(got) is type(want), (argv, got)
+
+
+def test_omega_range_outranks_file_grid_keys(tmp_path):
+    cfg_file = tmp_path / "grid.cfg"
+    cfg_file.write_text("omega_min = -10\nomega_max = 10\nomega_steps = 101\n",
+                        encoding="utf-8")
+    from_file = build_config(["spectra", "--config", str(cfg_file)])
+    assert (from_file.omega_min, from_file.omega_max,
+            from_file.omega_steps) == (-10.0, 10.0, 101)
+    cfg = build_config(["spectra", "--config", str(cfg_file),
+                        "--omega-range", "-5:5:11"])
+    assert (cfg.omega_min, cfg.omega_max, cfg.omega_steps) == (-5.0, 5.0, 11)
+    assert cfg.omega_grid().tolist() == np.linspace(-5, 5, 11).tolist()
+
+
+def test_file_out_decides_where_main_writes(tmp_path):
+    cfg_file = tmp_path / "out.cfg"
+    cfg_file.write_text(f"out = {tmp_path / 'from-file'}\n", encoding="utf-8")
+    argv = ["steady", "--regime", "1", "--config", str(cfg_file)]
+    assert main(argv) == 0
+    assert (tmp_path / "from-file" / "steady.csv").is_file()
+    assert main(argv + ["--out", str(tmp_path / "from-flag")]) == 0
+    assert (tmp_path / "from-flag" / "steady.csv").is_file()
+    files = sorted(p.name for p in (tmp_path / "from-file").iterdir())
+    assert files == ["steady.csv"]
 
 
 def test_config_file_errors(tmp_path):

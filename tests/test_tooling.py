@@ -53,3 +53,24 @@ def test_names_used_by_benchmark_tools_and_demos_exist():
     missing += [f"perfbench/workloads.py rebinds cli.{name}"
                 for name in patched if not hasattr(cli, name)]
     assert not missing, "no such name: " + "; ".join(missing)
+
+
+def _cli_attribute_reads(tree: ast.AST):
+    # names bound to the module by `from harmoniccascade import cli [as x]`
+    bound = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "harmoniccascade"
+             for alias in node.names if alias.name == "cli"}
+    return [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in bound]
+
+
+def test_attributes_read_off_cli_exist():
+    read = [(path, name) for path in SCRIPTS
+            for name in _cli_attribute_reads(
+                ast.parse(path.read_text(encoding="utf-8")))]
+    assert {"main", "build_config"} <= {name for _, name in read}
+    missing = [f"{path.relative_to(ROOT)}: cli.{name}"
+               for path, name in read if not hasattr(cli, name)]
+    assert not missing, "no such name: " + "; ".join(missing)
