@@ -233,9 +233,10 @@ def build_config(argv: list[str]) -> RunConfig:
     regime = got.get("regime")
     # A regime means exactly its parameter set; only the pump may be changed.
     if regime is not None:
+        source = "--regime" if ns.regime is not None else "config key regime"
         for key in _PARAM_KEYS:
             if key != "epsilon" and key in got:
-                raise ConfigParse(f"config key {key} conflicts with --regime")
+                raise ConfigParse(f"config key {key} conflicts with {source}")
     # Without a regime the rates default to preset 1; RunConfig rejects a
     # regime that has no preset.
     base = REGIME_PRESETS.get(regime, REGIME_PRESETS[1])

@@ -16,10 +16,12 @@ A = V L V^-1 and C = V^-1 D V^-T, partial fractions give S = sum_j P_j /
     P_j = v_j (C' V^T)_j,   C'_jk = C_jk / (l_j + l_k),
 
 with fixed symmetric residues (the modal solution of the OU spectrum): one
-eigendecomposition per call, one small product per frequency.  The
-eigenvalues also bound the resolvent conditioning, so the exact condition
-number is computed only where that bound comes near the warning threshold.
-A nearly defective A (large cond(V)) falls back to two solves per frequency.
+eigendecomposition per call, one small product per frequency.  A real A
+has real poles or conjugate pairs with conjugate residues; a pair adds up to
+twice the real part of its pole with Im l_j > 0, so M is real by
+construction.  One scalar bound from the eigenvalues covers the resolvent
+conditioning at every omega.  A nearly defective A (large cond(V)) falls
+back to two solves per frequency.
 
 The measured output spectra are read in the quadrature basis
 (X1, Y1, X2, Y2, X3, Y3), where input-output theory applies the mirror
@@ -28,8 +30,8 @@ couplings and adds the vacuum floor:
     S_out[p, q] = delta_pq + sqrt(gamma_p gamma_q) M_q[p, q].
 
 The spectrum itself is computed in that basis: A_q = Q A Q^-1 and
-D_q = Q D Q^T are real for every classical state, so the output is real up
-to roundoff however close the state is to threshold.  An imaginary part in
+D_q = Q D Q^T are real for every classical state, so M is real however
+close the state is to threshold.  An imaginary part in
 A_q or D_q above tolerance means the state is not classical and raises
 NonHermitianResidue before any spectrum is formed.
 
@@ -69,7 +71,7 @@ _UPPER = np.triu_indices(6)
 _SYM = np.zeros((6, 6), dtype=int)
 _SYM[_UPPER] = _SYM.T[_UPPER] = np.arange(21)
 
-# Largest imaginary part allowed in the quadrature drift, diffusion and M.
+# Largest imaginary part allowed in the quadrature drift and diffusion.
 _IMAG_TOL = 1e-10
 _COND_WARN = 1e12
 # Largest cond(V) for which the modal route is used.  Its roundoff grows like
@@ -150,51 +152,54 @@ def intracavity_spectrum(A: np.ndarray, D: np.ndarray,
                          omega: float | np.ndarray) -> np.ndarray:
     """M = S + S^T, S = (A + i omega)^-1 D (A^T - i omega)^-1, as six poles.
 
-    A^T is the plain transpose.  A scalar omega gives one exactly symmetric
-    6x6 matrix, n frequencies an (n, 6, 6) stack.  One eigendecomposition
-    A = V L V^-1 gives the six residues for every frequency (module
-    docstring); partial fractions need l_j + l_k != 0, true for every stable
-    A (all Re l_j > 0).  When cond(V) exceeds _MODAL_COND_MAX (A close to
-    defective), two partial-pivoted solves per frequency give S instead.
+    A and D are the real quadrature pair (A_q, D_q); complex input raises
+    TypeError.  A scalar omega gives one exactly symmetric float64 6x6
+    matrix, n frequencies an (n, 6, 6) stack, from one eigendecomposition
+    (module docstring).  When cond(V) exceeds _MODAL_COND_MAX (A close to
+    defective), two solves per frequency give S instead, and M is the real
+    part of S + S^T (for real A and D, S^T = conj(S)).
 
     One RuntimeWarning names the worst-conditioned frequency when any
     resolvent has a condition number above 1e12 or a non-finite one.  As
-    cond(A + i omega) <= cond(V)^2 max_j|l_j + i omega| / min_j|l_j + i omega|,
-    the modal route computes the exact condition number only where twice
-    that bound reaches 1e12, which gives the same warning.
+    cond(A + i omega) <= cond(V)^2 max_j|l_j + i omega| / min_j|l_j + i omega|
+    <= cond(V)^2 (1 + max_jk|l_j - l_k| / min_j|Re l_j|) for every omega,
+    exact condition numbers are computed, one per frequency, only on the
+    fallback, when twice that bound reaches 1e12 or for a non-finite omega.
     """
+    if np.iscomplexobj(A) or np.iscomplexobj(D):
+        raise TypeError("intracavity_spectrum takes the real quadrature "
+                        "drift and diffusion")
     w = np.asarray(omega, dtype=float)
     wf = w.reshape(-1)
     lam, V = np.linalg.eig(A)
     kappa = np.linalg.cond(V)
     modal = kappa <= _MODAL_COND_MAX
-    if modal:
-        dist = np.abs(lam + 1j * wf[:, None])
-        # factor 2: roundoff in the eigenvalues and in cond(V); a NaN or an
-        # exactly singular resolvent is checked too
-        safe = 2 * kappa ** 2 * dist.max(axis=1) < _COND_WARN * dist.min(axis=1)
-        check = np.flatnonzero(~safe)
-    else:
-        check = np.arange(wf.size)
-    if check.size:
-        cond = np.linalg.cond(A + 1j * wf[check, None, None] * _I6)
+    re, spread = np.abs(lam.real).min(), np.abs(lam[:, None] - lam).max()
+    # 2 cond(V)^2 (1 + spread / re) < 1e12, the 2 for roundoff; re = 0 fails
+    if not (modal and 2 * kappa ** 2 * (re + spread) < _COND_WARN * re
+            and np.isfinite(wf).all()):
+        cond = np.linalg.cond(A + 1j * wf[:, None, None] * _I6)
         k = cond.argmax()    # argmax returns a NaN first: worst
         if not cond[k] <= _COND_WARN:
-            warnings.warn(f"ill-conditioned resolvent at omega={wf[check[k]]}: "
+            warnings.warn(f"ill-conditioned resolvent at omega={wf[k]}: "
                           f"cond={cond[k]:.3e}", RuntimeWarning, stacklevel=2)
-    if modal:
-        if not dist.all():    # as the solves, refuse an exactly singular one
-            raise np.linalg.LinAlgError("Singular matrix")
-        weight = 2 * lam / (lam ** 2 + wf[:, None] ** 2)
-        # one (1, 6) @ (6, 21) product per frequency, so a grid item equals
-        # the one-point result bit for bit (a single (n, 6) GEMM would not)
-        M = (weight[:, None, :] @ _pole_residues(lam, V, D))[:, 0, _SYM]
-        return M.reshape(w.shape + (6, 6))
-    w = w[..., None, None]
-    Y = np.linalg.solve(A + 1j * w * _I6, D)
-    # S = Y (A^T - i omega)^-1, computed as a solve against the transpose.
-    S = np.linalg.solve(A - 1j * w * _I6, Y.mT).mT
-    return S + S.mT
+    if not modal:
+        w = w[..., None, None]
+        Y = np.linalg.solve(A + 1j * w * _I6, D)
+        # S = Y (A^T - i omega)^-1, computed as a solve against the transpose.
+        S = np.linalg.solve(A - 1j * w * _I6, Y.mT).mT
+        return (S + S.mT).real
+    keep = lam.imag >= 0    # one pole of each conjugate pair
+    denom = lam[keep] ** 2 + wf[:, None] ** 2
+    if not denom.all():    # as the solves, refuse an exactly singular one
+        raise np.linalg.LinAlgError("Singular matrix")
+    lam, R = lam[keep], _pole_residues(lam, V, D)[keep]
+    weight = np.where(lam.imag > 0, 4.0, 2.0) * lam / denom
+    # Re(w R) as one (1, 2k) @ (2k, 21) product per frequency, so a grid item
+    # equals the one-point result bit for bit (one (n, 2k) GEMM would not)
+    M = (np.concatenate([weight.real, -weight.imag], axis=1)[:, None, :]
+         @ np.concatenate([R.real, R.imag]))[:, 0, _SYM]
+    return M.reshape(w.shape + (6, 6))
 
 
 @dataclass(frozen=True)
@@ -226,10 +231,9 @@ def spectrum_grid(p: SystemParams, dd: DriftDiffusion,
     """Output spectra over a frequency grid (default grid when omegas is None).
 
     A scalar omega gives the spectra at that one frequency.  The drift and
-    diffusion are moved to the quadrature basis, where they must be real
-    (else the state is not classical), and M = S + S^T, evaluated over all
-    frequencies as one stack, must be real too (else an upstream bug); an
-    imaginary part above tolerance raises NonHermitianResidue.  M is scaled
+    diffusion are moved to the quadrature basis, where an imaginary part
+    above tolerance (the state is not classical) raises NonHermitianResidue.
+    M = S + S^T, evaluated over all frequencies as one real stack, is scaled
     by the mirror couplings over the vacuum floor.
     """
     omegas = default_omega_grid() if omegas is None else np.array(
@@ -241,14 +245,8 @@ def spectrum_grid(p: SystemParams, dd: DriftDiffusion,
         raise NonHermitianResidue(f"imaginary residue {imag:.3e} in the "
                                   "quadrature-basis drift or diffusion")
     M = intracavity_spectrum(A.real, D.real, omegas)
-    imag = np.abs(M.imag).max(axis=(-2, -1)).reshape(-1)
-    if np.any(imag > _IMAG_TOL):
-        worst = np.nanargmax(imag)
-        raise NonHermitianResidue(
-            f"imaginary residue {imag[worst]:.3e} in quadrature spectrum at "
-            f"omega={np.reshape(omegas, -1)[worst]}")
     g = np.sqrt(np.repeat(p.gammas(), 2))
-    s_quad = QuadCovariance(omega=omegas, matrix=_I6 + np.outer(g, g) * M.real)
+    s_quad = QuadCovariance(omega=omegas, matrix=_I6 + np.outer(g, g) * M)
     return SpectrumResult(omega=omegas, s_quad=s_quad)
 
 

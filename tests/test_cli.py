@@ -230,6 +230,18 @@ def test_regime_conflicts_with_explicit_rates(tmp_path):
         build_config(["steady", "--regime", "1", "--config", str(cfg_file)])
 
 
+@pytest.mark.parametrize("flag, source", [
+    (["--regime", "2"], "--regime"), ([], "config key regime")],
+    ids=["flag", "file"])
+def test_regime_conflict_names_its_source(tmp_path, flag, source):
+    cfg_file = tmp_path / "run.cfg"
+    regime_line = "" if flag else "regime = 2\n"
+    cfg_file.write_text(regime_line + "kappa1 = 0.01\n", encoding="utf-8")
+    with pytest.raises(ConfigParse) as err:
+        build_config(["steady", "--config", str(cfg_file)] + flag)
+    assert str(err.value) == f"config key kappa1 conflicts with {source}"
+
+
 def test_steady_with_no_pump_writes_zero_row(tmp_path):
     assert main(["steady", "--epsilon", "0", "--out", str(tmp_path)]) == 0
     header, rows, _ = _read_rows(tmp_path / "steady.csv")
@@ -333,17 +345,19 @@ def test_steady_just_below_threshold(tmp_path):
     assert np.abs(v[0::2] + 1j * v[1::2] - ode.state.alpha).max() < 1e-9
 
 
-@pytest.mark.parametrize("regime, epsilon", [("1", "228.1"), ("2", "880")])
+@pytest.mark.parametrize("regime, epsilon", [("1", "228.1"), ("2", "880"),
+                                             ("1", "230.3")])
 def test_spectra_just_below_threshold(regime, epsilon, tmp_path):
-    # 0.99 of the regime-1 and 0.98 of the regime-2 threshold, where the
-    # spectral peaks are high and narrow: both spectrum modes succeed and
-    # the spectra respect the uncertainty bound.
+    # 0.99 and 0.9996 of the regime-1 and 0.98 of the regime-2 threshold,
+    # where the spectral peaks are high and narrow (above 1e5 at 230.3):
+    # both spectrum modes succeed and the spectra respect the uncertainty
+    # bound.
     for mode in ("spectra", "correlations"):
         assert main([mode, "--regime", regime, "--epsilon", epsilon,
                      "--out", str(tmp_path)]) == 0
     _, rows, _ = _read_rows(tmp_path / "spectra.csv")
     v = np.array(rows, dtype=float)
-    assert v.shape == (801, 7)
+    assert v.shape == (801, 7) and np.isfinite(v).all()
     assert (v[:, 1::2] * v[:, 2::2]).min() >= 1.0 - 1e-9
     _, rows, _ = _read_rows(tmp_path / "correlations.csv")
     assert len(rows) == 801 and np.isfinite(np.array(rows, dtype=float)).all()
