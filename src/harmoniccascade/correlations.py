@@ -17,6 +17,15 @@ Three families are evaluated:
 
 The inferred variances condition on the sum quadratures X_j + X_k and
 Y_j + Y_k.
+
+Each family's formula is written once.  It reads the matrix entries it
+needs in one gather, through a fixed index table that holds the (row,
+column) of every entry for every permutation of the family's *_ORDER.
+evaluate_grid evaluates each family over all three permutations at once;
+vlf_pair, vlf_triple and obr_inferred are the one-permutation case of the
+same helpers, so the grid report equals the per-permutation values bit for
+bit.  The triples and the OBR products read the same entries: V_ijk is
+symmetric in j and k, and each family pairs every mode i with the other two.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QuadCovariance, quad_index_x, quad_index_y
+from .model import QuadCovariance
 
 __all__ = [
     "CorrelationReport",
@@ -61,6 +70,87 @@ def _check_perm(i: int, j: int, k: int) -> None:
                          f"got ({i}, {j}, {k})")
 
 
+def _modes(perms):
+    """Rows (3, 2, P) in the basis (X1, Y1, X2, Y2, X3, Y3): for modes i, j
+    and k of each permutation (i, j, k), that of X and that of Y."""
+    x = 2 * np.array(perms).T - 2
+    return np.stack([x, x + 1], axis=1)
+
+
+def _pair_table(perms) -> np.ndarray:
+    """Entries [row or column][entry][permutation] that V_ij reads:
+    X_i X_i, X_j X_j, X_i X_j, Y_i Y_i, Y_j Y_j, Y_i Y_j, Y_k Y_k, Y_k Y_i
+    and Y_k Y_j."""
+    (xi, yi), (xj, yj), (_, yk) = _modes(perms)
+    return np.array([[xi, xj, xi, yi, yj, yi, yk, yk, yk],
+                     [xi, xj, xj, yi, yj, yj, yk, yi, yj]])
+
+
+def _trio_table(perms) -> np.ndarray:
+    """Entries [row or column][entry][X or Y][permutation] that V_ijk and
+    obr_ijk read: (i, i), (j, j), (k, k), (j, k), (i, j) and (i, k)."""
+    i, j, k = _modes(perms)
+    return np.array([[i, j, k, j, i, i], [i, j, k, k, j, k]])
+
+
+_PAIR_TABLE = _pair_table([(i, j, 6 - i - j) for i, j in PAIR_ORDER])
+# V_ijk is symmetric in j and k, bit for bit on an exactly symmetric matrix,
+# so the triples of TRIPLE_ORDER read the entries of the OBR permutations
+# with the same mode i: one table serves both families.
+_TRIO_TABLE = _trio_table(OBR_ORDER)
+
+
+def _mode(row) -> int:
+    """The mode whose X or Y sits at this row of (X1, Y1, X2, Y2, X3, Y3)."""
+    return int(row) // 2 + 1
+
+
+def _require_variance(den, message) -> None:
+    """Raise DegenerateVariance at the first permutation p, X before Y, where
+    den[q, p] (q for X or Y) drops below tolerance; message(p, minimum)."""
+    if np.any(den < _DEGENERATE_TOL):
+        for p, q in np.ndindex(den.shape[1], den.shape[0]):
+            if np.any(den[q, p] < _DEGENERATE_TOL):
+                raise DegenerateVariance(message(p, np.min(den[q, p])))
+
+
+def _pair_values(V, table, gain=None):
+    """V_ij and the gain on mode k for each permutation of table; V is the
+    transpose of a covariance or stack (module docstring), read in one
+    gather."""
+    xii, xjj, xij, yii, yjj, yij, ykk, yki, ykj = V[table[0], table[1]]
+    vx = xii + xjj - 2.0 * xij
+    if gain is None:
+        _require_variance(ykk[None], lambda p, v: (
+            f"V(Y_{_mode(table[0, 6, p])}) = {v:.3e}; cannot optimize gain"))
+        gain = -(yki + ykj) / ykk
+    vy = (yii + yjj + gain * gain * ykk
+          + 2.0 * yij + 2.0 * gain * yki + 2.0 * gain * ykj)
+    return vx + vy, gain
+
+
+def _trio_terms(V, table):
+    """V(Q_i), V(Q_j + Q_k) and V(Q_i, Q_j + Q_k), stacked (2, P, ...) for
+    Q = X, Y and each permutation of table, read in one gather."""
+    vii, vjj, vkk, vjk, vij, vik = V[table[0], table[1]]
+    return vii, vjj + vkk + 2.0 * vjk, vij + vik
+
+
+def _triple_values(vii, den, cov):
+    """V_ijk = V(X_i - (X_j + X_k)/sqrt 2) + V(Y_i + (Y_j + Y_k)/sqrt 2)."""
+    base = vii + 0.5 * den
+    cross = np.sqrt(2.0) * cov
+    return (base[0] - cross[0]) + (base[1] + cross[1])
+
+
+def _inferred_values(vii, den, cov, table):
+    """Inferred X and Y variances of mode i given the sum of modes j and k."""
+    _require_variance(den, lambda p, v: (
+        f"combined variance {v:.3e} for modes ({_mode(table[0, 1, 0, p])},"
+        f"{_mode(table[0, 2, 0, p])}); cannot infer"))
+    return vii - cov * cov / den
+
+
 def vlf_pair(S: QuadCovariance, i: int, j: int, k: int,
              gain: float | None = None) -> tuple[float, float]:
     """Pairwise correlation V_ij = V(X_i - X_j) + V(Y_i + Y_j + g_k Y_k).
@@ -70,18 +160,8 @@ def vlf_pair(S: QuadCovariance, i: int, j: int, k: int,
     explicit gain to evaluate off-optimum.  Returns (V_ij, gain used).
     """
     _check_perm(i, j, k)
-    V = S.matrix.T
-    xi, xj = quad_index_x(i), quad_index_x(j)
-    yi, yj, yk = quad_index_y(i), quad_index_y(j), quad_index_y(k)
-    vx = V[xi, xi] + V[xj, xj] - 2.0 * V[xi, xj]
-    if gain is None:
-        if np.any(V[yk, yk] < _DEGENERATE_TOL):
-            raise DegenerateVariance(
-                f"V(Y_{k}) = {np.min(V[yk, yk]):.3e}; cannot optimize gain")
-        gain = -(V[yk, yi] + V[yk, yj]) / V[yk, yk]
-    vy = (V[yi, yi] + V[yj, yj] + gain * gain * V[yk, yk]
-          + 2.0 * V[yi, yj] + 2.0 * gain * V[yk, yi] + 2.0 * gain * V[yk, yj])
-    return vx + vy, gain
+    v, used = _pair_values(S.matrix.T, _pair_table([(i, j, k)]), gain)
+    return v[0], used[0] if gain is None else gain
 
 
 def vlf_triple(S: QuadCovariance, i: int, j: int, k: int) -> float:
@@ -91,15 +171,7 @@ def vlf_triple(S: QuadCovariance, i: int, j: int, k: int) -> float:
     symmetric under j <-> k, no free gains.
     """
     _check_perm(i, j, k)
-    V = S.matrix.T
-    xi, xj, xk = quad_index_x(i), quad_index_x(j), quad_index_x(k)
-    yi, yj, yk = quad_index_y(i), quad_index_y(j), quad_index_y(k)
-    r = np.sqrt(2.0)
-    vx = (V[xi, xi] + 0.5 * (V[xj, xj] + V[xk, xk] + 2.0 * V[xj, xk])
-          - r * (V[xi, xj] + V[xi, xk]))
-    vy = (V[yi, yi] + 0.5 * (V[yj, yj] + V[yk, yk] + 2.0 * V[yj, yk])
-          + r * (V[yi, yj] + V[yi, yk]))
-    return vx + vy
+    return _triple_values(*_trio_terms(S.matrix.T, _trio_table([(i, j, k)])))[0]
 
 
 def obr_inferred(S: QuadCovariance, i: int, j: int,
@@ -111,17 +183,9 @@ def obr_inferred(S: QuadCovariance, i: int, j: int,
     quadrature.  Never exceeds the unconditional variance.
     """
     _check_perm(i, j, k)
-    V = S.matrix.T
-    out = []
-    for index_of in (quad_index_x, quad_index_y):
-        qi, qj, qk = index_of(i), index_of(j), index_of(k)
-        den = V[qj, qj] + V[qk, qk] + 2.0 * V[qj, qk]
-        if np.any(den < _DEGENERATE_TOL):
-            raise DegenerateVariance(f"combined variance {np.min(den):.3e} "
-                                     f"for modes ({j},{k}); cannot infer")
-        cov = V[qi, qj] + V[qi, qk]
-        out.append(V[qi, qi] - cov * cov / den)
-    return out[0], out[1]
+    table = _trio_table([(i, j, k)])
+    vx, vy = _inferred_values(*_trio_terms(S.matrix.T, table), table)
+    return vx[0], vy[0]
 
 
 def obr_product(S: QuadCovariance, i: int, j: int, k: int) -> float:
@@ -162,6 +226,29 @@ class CorrelationReport:
         return int(np.size(self.omega))
 
 
+def _report(omega, pair, gains, triple, obr) -> CorrelationReport:
+    """The report from each family's values stacked in its *_ORDER."""
+    sum_pair = pair[0] + pair[1] + pair[2]
+    sum_obr = obr[0] + obr[1] + obr[2]
+    steer = obr < 1.0
+    return CorrelationReport(
+        omega=omega,
+        v_pair=dict(zip(PAIR_ORDER, pair)), gains=dict(zip(PAIR_ORDER, gains)),
+        v_triple=dict(zip(TRIPLE_ORDER, triple)), obr=dict(zip(OBR_ORDER, obr)),
+        sum_v_pair=sum_pair, sum_obr=sum_obr,
+        inseparable_pairwise=(pair < 4.0).sum(axis=0) >= 2,
+        inseparable_triple=(triple < 4.0).any(axis=0),
+        tr_entangled_pairwise=sum_pair < 8.0,
+        tr_genuine_steer_pairwise=sum_pair < 4.0,
+        genuine_entangled_triple=(triple < 2.0).any(axis=0),
+        genuine_steer_triple=(triple < 1.0).any(axis=0),
+        steer_1_by_23=steer[0],
+        steer_2_by_13=steer[1],
+        steer_3_by_12=steer[2],
+        genuine_tri_steer=sum_obr < 1.0,
+    )
+
+
 def classify(omega: float | np.ndarray,
              v_pair: dict[tuple[int, int], float],
              gains: dict[tuple[int, int], float],
@@ -172,40 +259,22 @@ def classify(omega: float | np.ndarray,
     All inputs must have been computed at the same frequency or frequencies;
     the grid-level minima are the caller's business.
     """
-    pair_vals = [v_pair[pq] for pq in PAIR_ORDER]
-    triple = np.array([v_triple[t] for t in TRIPLE_ORDER])
-    sum_pair = sum(pair_vals)
-    sum_obr = sum(obr[t] for t in OBR_ORDER)
-    return CorrelationReport(
-        omega=omega,
-        v_pair=dict(v_pair), gains=dict(gains),
-        v_triple=dict(v_triple), obr=dict(obr),
-        sum_v_pair=sum_pair, sum_obr=sum_obr,
-        inseparable_pairwise=(np.array(pair_vals) < 4.0).sum(axis=0) >= 2,
-        inseparable_triple=(triple < 4.0).any(axis=0),
-        tr_entangled_pairwise=sum_pair < 8.0,
-        tr_genuine_steer_pairwise=sum_pair < 4.0,
-        genuine_entangled_triple=(triple < 2.0).any(axis=0),
-        genuine_steer_triple=(triple < 1.0).any(axis=0),
-        steer_1_by_23=obr[(1, 2, 3)] < 1.0,
-        steer_2_by_13=obr[(2, 1, 3)] < 1.0,
-        steer_3_by_12=obr[(3, 1, 2)] < 1.0,
-        genuine_tri_steer=sum_obr < 1.0,
-    )
+    return _report(omega, *(np.array([values[key] for key in order])
+                            for values, order in ((v_pair, PAIR_ORDER),
+                                                  (gains, PAIR_ORDER),
+                                                  (v_triple, TRIPLE_ORDER),
+                                                  (obr, OBR_ORDER))))
 
 
 def evaluate_grid(spectra) -> CorrelationReport:
     """Compute all correlations from a SpectrumResult's output spectra and
-    classify them: arrays over a grid, scalars at one frequency."""
+    classify them: arrays over a grid, scalars at one frequency.  Each
+    family is evaluated over its three permutations at once."""
     S = spectra.s_quad
-    v_pair: dict[tuple[int, int], float] = {}
-    gains: dict[tuple[int, int], float] = {}
-    for i, j in PAIR_ORDER:
-        k = ({1, 2, 3} - {i, j}).pop()
-        v_pair[(i, j)], gains[(i, j)] = vlf_pair(S, i, j, k)
-    v_triple = {t: vlf_triple(S, *t) for t in TRIPLE_ORDER}
-    obr = {t: obr_product(S, *t) for t in OBR_ORDER}
-    return classify(S.omega, v_pair, gains, v_triple, obr)
+    pair, gains = _pair_values(S.matrix.T, _PAIR_TABLE)
+    trio = _trio_terms(S.matrix.T, _TRIO_TABLE)
+    vx, vy = _inferred_values(*trio, _TRIO_TABLE)
+    return _report(S.omega, pair, gains, _triple_values(*trio), vx * vy)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ eigendecomposition per call, one small product per frequency.  A real A
 has real poles or conjugate pairs with conjugate residues; a pair adds up to
 twice the real part of its pole with Im l_j > 0, so M is real by
 construction.  One scalar bound from the eigenvalues covers the resolvent
-conditioning at every omega.  A nearly defective A (large cond(V)) falls
-back to two solves per frequency.
+conditioning at every omega.  A nearly defective A (large cond(V)), or one
+with an eigenvalue on or left of the imaginary axis (where l_j + l_k can
+vanish), falls back to two solves per frequency.
 
 The measured output spectra are read in the quadrature basis
 (X1, Y1, X2, Y2, X3, Y3), where input-output theory applies the mirror
@@ -35,8 +36,16 @@ close the state is to threshold.  An imaginary part in
 A_q or D_q above tolerance means the state is not classical and raises
 NonHermitianResidue before any spectrum is formed.
 
-spectrum_grid is the one entry point: it evaluates a frequency grid as one
-(n, 6, 6) stack and returns the output spectra as one SpectrumResult.
+One private kernel serves spectrum_grid and intracavity_spectrum.  It
+returns the 21 upper-triangle entries (the diagonal first) of scale * M at
+each frequency; the scale multiplies the kept residues, so the mirror
+couplings sqrt(gamma_p gamma_q) cost one (k, 21) product per call.
+spectrum_grid adds the vacuum floor to the 6 diagonal entries and scatters
+the 21 into each exactly symmetric 6x6 matrix once; intracavity_spectrum
+scales by ones.
+
+spectrum_grid is the one entry point for output spectra: it evaluates a
+frequency grid as one (n, 6, 6) stack and returns them as one SpectrumResult.
 """
 
 from __future__ import annotations
@@ -66,10 +75,13 @@ _I6 = np.eye(6)
 # X_i = da_i + da_i+, Y_i = -i (da_i - da_i+), the same block for each mode.
 _QUAD_MAP = np.kron(np.eye(3), [[1, 1], [-1j, 1j]])
 _QUAD_INV = _QUAD_MAP.conj().T / 2
-# The 21 upper-triangle entries of a 6x6 matrix; M[a, b] and M[b, a] read _SYM.
-_UPPER = np.triu_indices(6)
+# The 21 upper-triangle entries of a 6x6 matrix, the 6 diagonal ones first;
+# M[a, b] and M[b, a] read entry _SYM[a, b].
+_UPPER = tuple(np.concatenate(rows_or_cols) for rows_or_cols
+               in zip(np.diag_indices(6), np.triu_indices(6, 1)))
 _SYM = np.zeros((6, 6), dtype=int)
 _SYM[_UPPER] = _SYM.T[_UPPER] = np.arange(21)
+_ONES = np.ones(21)
 
 # Largest imaginary part allowed in the quadrature drift and diffusion.
 _IMAG_TOL = 1e-10
@@ -81,15 +93,19 @@ _COND_WARN = 1e12
 # each preset's stable branch gives cond(V) <= 15; it diverges at regime 2's
 # pump 57.176, where two drift eigenvalues meet, and exceeds 1e2 within 0.015.
 _MODAL_COND_MAX = 1e2
+# The grid spectrum_grid evaluates when given none: one read-only array.
+_OMEGA_GRID = np.linspace(-20.0, 20.0, 801)
+_OMEGA_GRID.setflags(write=False)
 
 
 def default_omega_grid() -> np.ndarray:
     """Frequency grid for figure-style outputs: [-20, 20], 801 points.
 
     All correlation features at the built-in presets sit within a few gamma1
-    of omega = 0; the step of 0.05 resolves them.
+    of omega = 0; the step of 0.05 resolves them.  Each call returns a fresh
+    writeable array.
     """
-    return np.linspace(-20.0, 20.0, 801)
+    return _OMEGA_GRID.copy()
 
 
 def build_drift(p: SystemParams, ss: FieldState) -> np.ndarray:
@@ -140,12 +156,52 @@ class DriftDiffusion:
         return cls(a_matrix=A, d_matrix=D)
 
 
-def _pole_residues(lam, V, D) -> np.ndarray:
-    """Upper triangles (6, 21) of the residues R_j of M (module docstring)."""
+def _pole_residues(lam, V, D, poles=slice(None)) -> np.ndarray:
+    """Upper triangles (k, 21) of the residues R_j of M for the poles j
+    selected by poles, all six by default (module docstring)."""
     Vinv = np.linalg.inv(V)
-    C = (Vinv @ D @ Vinv.T) / (lam[:, None] + lam)
-    P = V.T[:, :, None] * (C @ V.T)[:, None, :]    # P[j] = v_j (C V^T)_j
-    return (P + P.mT)[:, _UPPER[0], _UPPER[1]]
+    C = (Vinv[poles] @ D @ Vinv.T) / (lam[poles, None] + lam)
+    Vt, W = V.T[poles], C @ V.T    # P[j] = v_j W_j, R_j = P_j + P_j^T
+    a, b = _UPPER
+    return Vt[:, a] * W[:, b] + Vt[:, b] * W[:, a]
+
+
+def _entries(A, D, wf, scale) -> np.ndarray:
+    """Upper triangles (n, 21) of scale * M at the frequencies wf.
+
+    Warns, and picks the route, as intracavity_spectrum documents.  The
+    modal route multiplies the kept residues by scale; the fallback scales
+    the entries of (S + S^T).real after its solves.
+    """
+    lam, V = np.linalg.eig(A)
+    sv = np.linalg.svd(V, compute_uv=False)
+    kappa = sv[0] / sv[-1]
+    re, spread = lam.real.min(), np.abs(lam[:, None] - lam).max()
+    modal = kappa <= _MODAL_COND_MAX and re > 0
+    # 2 cond(V)^2 (1 + spread / re) < 1e12, the 2 for roundoff
+    if not (modal and 2 * kappa ** 2 * (re + spread) < _COND_WARN * re
+            and np.isfinite(wf).all()):
+        cond = np.linalg.cond(A + 1j * wf[:, None, None] * _I6)
+        k = cond.argmax()    # argmax returns a NaN first: worst
+        if not cond[k] <= _COND_WARN:
+            warnings.warn(f"ill-conditioned resolvent at omega={wf[k]}: "
+                          f"cond={cond[k]:.3e}", RuntimeWarning, stacklevel=3)
+    if not modal:
+        w = wf[:, None, None]
+        Y = np.linalg.solve(A + 1j * w * _I6, D)
+        # S = Y (A^T - i omega)^-1, computed as a solve against the transpose.
+        S = np.linalg.solve(A - 1j * w * _I6, Y.mT).mT
+        return (S + S.mT).real[:, _UPPER[0], _UPPER[1]] * scale
+    keep = np.flatnonzero(lam.imag >= 0)    # one pole of each conjugate pair
+    R = _pole_residues(lam, V, D, keep) * scale
+    lam = lam[keep].astype(complex, copy=False)    # eig may return reals
+    num = np.where(lam.imag > 0, 4.0, 2.0) * lam
+    weight = num / (lam * lam + (wf * wf)[:, None])
+    # Re(w R) = Re w Re R - Im w Im R as one (1, 2k) @ (2k, 21) product per
+    # frequency, so a grid item equals the one-point result bit for bit (one
+    # (n, 2k) GEMM would not); the weights are read as interleaved floats
+    RI = np.concatenate([R.real, -R.imag], axis=1).reshape(-1, 21)
+    return (weight.view(float)[:, None, :] @ RI)[:, 0]
 
 
 def intracavity_spectrum(A: np.ndarray, D: np.ndarray,
@@ -156,13 +212,14 @@ def intracavity_spectrum(A: np.ndarray, D: np.ndarray,
     TypeError.  A scalar omega gives one exactly symmetric float64 6x6
     matrix, n frequencies an (n, 6, 6) stack, from one eigendecomposition
     (module docstring).  When cond(V) exceeds _MODAL_COND_MAX (A close to
-    defective), two solves per frequency give S instead, and M is the real
-    part of S + S^T (for real A and D, S^T = conj(S)).
+    defective) or an eigenvalue of A has no positive real part, two solves
+    per frequency give S instead, and M is the real part of S + S^T (for
+    real A and D, S^T = conj(S)).
 
     One RuntimeWarning names the worst-conditioned frequency when any
     resolvent has a condition number above 1e12 or a non-finite one.  As
     cond(A + i omega) <= cond(V)^2 max_j|l_j + i omega| / min_j|l_j + i omega|
-    <= cond(V)^2 (1 + max_jk|l_j - l_k| / min_j|Re l_j|) for every omega,
+    <= cond(V)^2 (1 + max_jk|l_j - l_k| / min_j Re l_j) for every omega,
     exact condition numbers are computed, one per frequency, only on the
     fallback, when twice that bound reaches 1e12 or for a non-finite omega.
     """
@@ -170,35 +227,7 @@ def intracavity_spectrum(A: np.ndarray, D: np.ndarray,
         raise TypeError("intracavity_spectrum takes the real quadrature "
                         "drift and diffusion")
     w = np.asarray(omega, dtype=float)
-    wf = w.reshape(-1)
-    lam, V = np.linalg.eig(A)
-    kappa = np.linalg.cond(V)
-    modal = kappa <= _MODAL_COND_MAX
-    re, spread = np.abs(lam.real).min(), np.abs(lam[:, None] - lam).max()
-    # 2 cond(V)^2 (1 + spread / re) < 1e12, the 2 for roundoff; re = 0 fails
-    if not (modal and 2 * kappa ** 2 * (re + spread) < _COND_WARN * re
-            and np.isfinite(wf).all()):
-        cond = np.linalg.cond(A + 1j * wf[:, None, None] * _I6)
-        k = cond.argmax()    # argmax returns a NaN first: worst
-        if not cond[k] <= _COND_WARN:
-            warnings.warn(f"ill-conditioned resolvent at omega={wf[k]}: "
-                          f"cond={cond[k]:.3e}", RuntimeWarning, stacklevel=2)
-    if not modal:
-        w = w[..., None, None]
-        Y = np.linalg.solve(A + 1j * w * _I6, D)
-        # S = Y (A^T - i omega)^-1, computed as a solve against the transpose.
-        S = np.linalg.solve(A - 1j * w * _I6, Y.mT).mT
-        return (S + S.mT).real
-    keep = lam.imag >= 0    # one pole of each conjugate pair
-    denom = lam[keep] ** 2 + wf[:, None] ** 2
-    if not denom.all():    # as the solves, refuse an exactly singular one
-        raise np.linalg.LinAlgError("Singular matrix")
-    lam, R = lam[keep], _pole_residues(lam, V, D)[keep]
-    weight = np.where(lam.imag > 0, 4.0, 2.0) * lam / denom
-    # Re(w R) as one (1, 2k) @ (2k, 21) product per frequency, so a grid item
-    # equals the one-point result bit for bit (one (n, 2k) GEMM would not)
-    M = (np.concatenate([weight.real, -weight.imag], axis=1)[:, None, :]
-         @ np.concatenate([R.real, R.imag]))[:, 0, _SYM]
+    M = _entries(A, D, w.reshape(-1), _ONES)[:, _SYM]
     return M.reshape(w.shape + (6, 6))
 
 
@@ -233,10 +262,10 @@ def spectrum_grid(p: SystemParams, dd: DriftDiffusion,
     A scalar omega gives the spectra at that one frequency.  The drift and
     diffusion are moved to the quadrature basis, where an imaginary part
     above tolerance (the state is not classical) raises NonHermitianResidue.
-    M = S + S^T, evaluated over all frequencies as one real stack, is scaled
-    by the mirror couplings over the vacuum floor.
+    The entries of M = S + S^T, evaluated over all frequencies as one real
+    stack, are scaled by the mirror couplings over the vacuum floor.
     """
-    omegas = default_omega_grid() if omegas is None else np.array(
+    omegas = _OMEGA_GRID if omegas is None else np.array(
         omegas, dtype=float)[()]    # [()] keeps a scalar omega a scalar
     A = _QUAD_MAP @ dd.a_matrix @ _QUAD_INV
     D = _QUAD_MAP @ dd.d_matrix @ _QUAD_MAP.T
@@ -244,9 +273,12 @@ def spectrum_grid(p: SystemParams, dd: DriftDiffusion,
     if imag > _IMAG_TOL:
         raise NonHermitianResidue(f"imaginary residue {imag:.3e} in the "
                                   "quadrature-basis drift or diffusion")
-    M = intracavity_spectrum(A.real, D.real, omegas)
     g = np.sqrt(np.repeat(p.gammas(), 2))
-    s_quad = QuadCovariance(omega=omegas, matrix=_I6 + np.outer(g, g) * M)
+    entries = _entries(A.real, D.real, np.reshape(omegas, -1),
+                       g[_UPPER[0]] * g[_UPPER[1]])
+    entries[:, :6] += 1.0    # the vacuum floor, on the diagonal entries
+    matrix = entries[:, _SYM].reshape(np.shape(omegas) + (6, 6))
+    s_quad = QuadCovariance(omega=omegas, matrix=matrix)
     return SpectrumResult(omega=omegas, s_quad=s_quad)
 
 

@@ -192,10 +192,14 @@ class QuadCovariance:
         if m.ndim > 3 or m.shape != np.shape(self.omega) + (6, 6):
             raise ValueError(f"matrix must be 6x6, or (n, 6, 6) for n "
                              f"frequencies; got {m.shape}")
-        asym = np.abs(m - m.mT).max()
-        if asym > self._SYM_TOL:
-            raise NonHermitianResidue(f"asymmetry {asym:.3e} exceeds tolerance")
-        sym = 0.5 * (m + m.mT) if asym else m    # exact symmetry: kept as is
+        if np.array_equal(m, m.mT):    # exact symmetry: kept as is
+            sym = m
+        else:
+            asym = np.abs(m - m.mT).max()
+            if asym > self._SYM_TOL:
+                raise NonHermitianResidue(
+                    f"asymmetry {asym:.3e} exceeds tolerance")
+            sym = 0.5 * (m + m.mT)
         object.__setattr__(self, "matrix", _frozen(sym))
 
     def variance(self, label: str, mode: int) -> float | np.ndarray:

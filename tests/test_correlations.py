@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from harmoniccascade import (
     DegenerateVariance,
     QuadCovariance,
+    SpectrumResult,
     classify,
     evaluate_grid,
     obr_inferred,
@@ -46,6 +49,12 @@ R2_MIN = {
                  (2, 3, 1): 3.5358729942968741,
                  (3, 1, 2): 3.9924767082510075},
 }
+
+
+# The benchmark's pump_sweep gate: both presets' GridSummary on the default
+# grid, read here and never written.
+PUMP105 = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+           / "pump105.json")
 
 
 def _diag_cov(variances):
@@ -238,3 +247,67 @@ def test_grid_equals_pointwise_evaluation(regime, omegas, regime1, regime2,
         t: first_min(lambda r: r.obr[t]) for t in OBR_ORDER}
     assert summary.min_sum_v_pair == first_min(lambda r: r.sum_v_pair)
     assert summary.min_sum_obr == first_min(lambda r: r.sum_obr)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("regime", [1, 2])
+def test_grid_report_equals_per_permutation_values(regime, request):
+    # evaluate_grid takes every permutation of a family at once; each value
+    # and gain must be the per-permutation function's, bit for bit.
+    S = request.getfixturevalue(f"spectra{regime}").s_quad
+    report = request.getfixturevalue(f"reports{regime}")
+    for i, j in PAIR_ORDER:
+        v, g = vlf_pair(S, i, j, 6 - i - j)
+        assert _same_bits(report.v_pair[i, j], v)
+        assert _same_bits(report.gains[i, j], g)
+    for t in TRIPLE_ORDER:
+        assert _same_bits(report.v_triple[t], vlf_triple(S, *t))
+    for t in OBR_ORDER:
+        assert _same_bits(report.obr[t], obr_product(S, *t))
+
+
+@pytest.mark.parametrize("entries,call", [
+    # V(Y_1) collapses: the gain of the third pair, (2, 3), fails first
+    ({(1, 1): 5e-13}, lambda S: vlf_pair(S, 2, 3, 1)),
+    # X_1 + X_3 collapses: obr_213, the second permutation, fails first
+    ({(0, 0): 3e-13, (4, 4): 4e-13}, lambda S: obr_inferred(S, 2, 1, 3)),
+    # Y_1 + Y_2 collapses, no single variance does: the Y half of obr_312
+    ({(1, 3): -(2.0 - 5e-14)}, lambda S: obr_inferred(S, 3, 1, 2)),
+])
+def test_grid_raise_names_the_per_permutation_failure(entries, call):
+    # One degenerate frequency in a stack: evaluate_grid raises with the
+    # mode and value the per-permutation function names.
+    m = 2.0 * np.eye(6)
+    for (a, b), value in entries.items():
+        m[a, b] = m[b, a] = value
+    omega = np.array([-1.0, 0.0, 1.0])
+    stack = QuadCovariance(omega=omega, matrix=np.stack(
+        [np.eye(6), m, 3.0 * np.eye(6)]))
+    with pytest.raises(DegenerateVariance) as one:
+        call(stack)
+    with pytest.raises(DegenerateVariance) as grid:
+        evaluate_grid(SpectrumResult(omega=omega, s_quad=stack))
+    assert str(grid.value) == str(one.value)
+
+
+@pytest.mark.parametrize("regime", [1, 2])
+def test_grid_minima_match_benchmark_reference(regime, request):
+    # Every GridSummary entry, the sums and the frequencies included, as the
+    # benchmark gates it: values at rel 1e-9, omega by |omega| (the spectra
+    # are even in omega, so an edge minimum ties between -20 and +20).
+    summary = request.getfixturevalue(f"summary{regime}")
+    want = json.loads(PUMP105.read_text())[str(regime)]
+    got = {f"{field}.{''.join(map(str, key))}": minimum
+           for field in ("min_v_pair", "min_v_triple", "min_obr")
+           for key, minimum in getattr(summary, field).items()}
+    got["min_sum_v_pair"] = summary.min_sum_v_pair
+    got["min_sum_obr"] = summary.min_sum_obr
+    assert set(got) == set(want)
+    for key, (value, omega) in want.items():
+        assert got[key][0] == pytest.approx(value, rel=1e-9, abs=0.0), key
+        assert abs(got[key][1]) == pytest.approx(abs(omega), rel=1e-9,
+                                                 abs=1e-9), key

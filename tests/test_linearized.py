@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -52,6 +54,21 @@ def test_default_grid_shape():
     assert w.shape == (801,)
     assert w[0] == -20.0 and w[-1] == 20.0
     assert 0.0 in w
+
+
+def test_default_grid_is_shared_read_only(regime1, dd1):
+    # Without omegas spectrum_grid reads one read-only module grid, bit for
+    # bit the grid default_omega_grid returns; that stays a fresh copy.
+    default = spectrum_grid(regime1, dd1)
+    explicit = spectrum_grid(regime1, dd1, default_omega_grid())
+    assert default.omega.tobytes() == explicit.omega.tobytes()
+    assert default.s_quad.matrix.tobytes() == explicit.s_quad.matrix.tobytes()
+    assert not default.omega.flags.writeable
+    w = default_omega_grid()
+    assert w.flags.writeable and w is not default_omega_grid()
+    w[0] = 1.0
+    assert default_omega_grid()[0] == -20.0
+    assert spectrum_grid(regime1, dd1).omega[0] == -20.0
 
 
 @pytest.mark.parametrize("regime", [1, 2])
@@ -349,6 +366,24 @@ def test_folded_poles_real_symmetric_and_pointwise(regime, phase):
     assert intracavity_spectrum(*_quad_pair(dd), w).dtype == np.float64
     with pytest.raises(TypeError):    # the doubled basis is complex
         intracavity_spectrum(dd.a_matrix, dd.d_matrix, w)
+
+
+def test_eigenvalue_on_imaginary_axis_takes_two_solves():
+    # A real rotation block has eigenvalues +-i, so l_j + l_k = 0 for that
+    # pair and the residues are undefined; the resolvent is regular at
+    # omega = 0 and 2, so two solves give a finite M there, without warning.
+    A = np.diag([0.0, 0.0, 3.0, 4.0, 5.0, 6.0])
+    A[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
+    D = np.eye(6)
+    D[0, 2] = D[2, 0] = 0.3
+    w = np.array([0.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        M = intracavity_spectrum(A, D, w)
+    S = _two_solves(A, D, w)
+    ref = (S + S.mT).real
+    assert np.isfinite(M).all()
+    assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_ill_conditioned_resolvent_warns():
