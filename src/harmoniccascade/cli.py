@@ -7,16 +7,18 @@ parameters on that preset; combining it with explicit rate keys is rejected
 so a chosen regime always means exactly its parameter set.  Only the pump
 may be overridden on top (``--epsilon`` first, then a file key).
 
-Artifacts are deterministic by construction: no timestamps, fixed column
-order, 17-significant-digit floats, LF line endings.  Identical
-configuration (including the seed in stochastic mode) yields byte-identical
-files.
+Artifacts are deterministic by construction.  A CSV is UTF-8 with LF line
+endings: ``# harmoniccascade <version>``, ``# key = value`` settings, the
+comma-joined header, rows of ``%.17g`` floats (the stochastic ``moment``
+column as bare names), then any ``# `` footer lines.  No name or cell holds
+a comma, quote, CR or LF, so nothing is quoted.  Identical configuration
+(including the seed in stochastic mode) yields byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -161,6 +163,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigParse(message)
 
 
+@functools.cache
 def _make_parser() -> _Parser:
     # Mode and regime are checked by RunConfig; the metavars list the choices.
     parser = _Parser(prog="harmoniccascade",
@@ -246,8 +249,6 @@ def build_config(argv: list[str]) -> RunConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
@@ -257,22 +258,22 @@ def _key_lines(obj, keys=_PARAM_KEYS) -> list[str]:
     return [f"{key} = {_fmt(getattr(obj, key))}" for key in keys]
 
 
-def _write_csv(path: Path, meta: list[str], columns: list[str], rows,
-               footer: list[str] | None = None) -> tuple[Path, list[str]]:
+def _write_csv(path: Path, meta: list[str], columns: dict,
+               footer: list[str] | None = None) -> tuple[Path, dict]:
+    arrays = [np.asarray(values) for values in columns.values()]
+    row = ",".join("%s" if a.dtype.kind == "U" else "%.17g"
+                   for a in arrays) + "\n"
+    text = "".join([f"# harmoniccascade {__version__}\n",
+                    *(f"# {line}\n" for line in meta),
+                    ",".join(columns) + "\n",
+                    *map(row.__mod__, zip(*(a.tolist() for a in arrays))),
+                    *(f"# {line}\n" for line in footer or ())])
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# harmoniccascade {__version__}\n")
-            for line in meta:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(x) for x in row])
-            for line in footer or ():
-                fh.write(f"# {line}\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-    return path, list(columns)
+    return path, columns
 
 
 def _spectra_for(p: SystemParams, config: RunConfig):
@@ -316,43 +317,38 @@ _MOMENTS = (
 
 def _run_steady(config: RunConfig, out: Path):
     ss = require_steady_state(config.params)
-    v = ss.state.doubled()
-    columns = ["alpha1_re", "alpha1_im", "alpha2_re", "alpha2_im",
-               "alpha3_re", "alpha3_im", "residual"]
-    row = [v[0].real, v[0].imag, v[2].real, v[2].imag, v[4].real, v[4].imag,
-           ss.residual]
+    columns = {f"alpha{i}_{part}": [value]
+               for i, a in enumerate(ss.state.alpha, 1)
+               for part, value in (("re", a.real), ("im", a.imag))}
+    columns["residual"] = [ss.residual]
     meta = ["mode = steady"] + _key_lines(config.params)
-    return [_write_csv(out / "steady.csv", meta, columns, [row])]
+    return [_write_csv(out / "steady.csv", meta, columns)]
 
 
 def _run_spectra(config: RunConfig, out: Path):
     spectra = _spectra_for(config.params, config)
-    columns = ["omega", "vx1", "vy1", "vx2", "vy2", "vx3", "vy3"]
     diagonal = np.diagonal(spectra.s_quad.matrix, axis1=-2, axis2=-1)
-    rows = zip(spectra.omega, *diagonal.T)
+    names = [f"v{xy}{mode}" for mode in (1, 2, 3) for xy in "xy"]
+    columns = {"omega": spectra.omega, **dict(zip(names, diagonal.T))}
     meta = (["mode = spectra"] + _key_lines(config.params)
             + _key_lines(config, _GRID_KEYS))
-    return [_write_csv(out / "spectra.csv", meta, columns, rows)]
+    return [_write_csv(out / "spectra.csv", meta, columns)]
 
 
 def _run_correlations(config: RunConfig, out: Path):
     report = _report_columns(config.params, config)
     meta = (["mode = correlations"] + _key_lines(config.params)
             + _key_lines(config, _GRID_KEYS))
-    return [_write_csv(out / "correlations.csv", meta, list(report),
-                       zip(*report.values()))]
+    return [_write_csv(out / "correlations.csv", meta, report)]
 
 
 def _run_stochastic(config: RunConfig, out: Path):
     m = run_ensemble(config.params, dt=config.dt, t_end=config.t_end,
                      n_traj=config.n_traj, seed=config.seed, strict=False)
-    rows = []
-    for t_index, t in enumerate(m.t_grid):
-        for name, field, index in _MOMENTS:
-            val = getattr(m, field)[t_index][index]
-            se = getattr(m, f"{field}_stderr")[t_index][index]
-            rows.append([t, name, val.real, val.imag,
-                         np.hypot(se.real, se.imag)])
+    # rows run over the moments of each sample time in turn
+    val, se = (np.stack([getattr(m, field + kind)[(slice(None), *index)]
+                         for _, field, index in _MOMENTS], axis=1).ravel()
+               for kind in ("", "_stderr"))
     meta = (["mode = stochastic"] + _key_lines(config.params)
             + _key_lines(config, ("seed", "dt", "t_end", "n_traj"))
             + ["stderr combines the real and imaginary standard errors "
@@ -360,21 +356,24 @@ def _run_stochastic(config: RunConfig, out: Path):
     footer = [f"divergent = {m.divergent} of {m.n_traj}"]
     if not m.reliable:
         footer.append("unreliable: divergence budget exceeded")
-    columns = ["time", "moment", "real", "imag", "stderr"]
-    return [_write_csv(out / "stochastic.csv", meta, columns, rows, footer)]
+    columns = {"time": np.repeat(m.t_grid, len(_MOMENTS)),
+               "moment": [name for name, _, _ in _MOMENTS] * m.t_grid.size,
+               "real": val.real, "imag": val.imag,
+               "stderr": np.hypot(se.real, se.imag)}
+    return [_write_csv(out / "stochastic.csv", meta, columns, footer)]
 
 
 def _run_threshold(config: RunConfig, out: Path):
     result = pulsing_threshold(config.params, _THRESHOLD_RANGE)
-    columns = ["epsilon", "min_real_eigenvalue"]
-    rows = list(zip(result.scan_eps, result.scan_stability))
+    columns = {"epsilon": result.scan_eps,
+               "min_real_eigenvalue": result.scan_stability}
     meta = (["mode = threshold"] + _key_lines(config.params)
             + [f"scan = {_fmt(_THRESHOLD_RANGE[0])} .. "
                f"{_fmt(_THRESHOLD_RANGE[1])}"])
     footer = [f"eps_critical = {_fmt(result.eps_critical)}",
               f"bracket = {_fmt(result.bracket[0])} .. "
               f"{_fmt(result.bracket[1])}"]
-    return [_write_csv(out / "threshold.csv", meta, columns, rows, footer)]
+    return [_write_csv(out / "threshold.csv", meta, columns, footer)]
 
 
 def _run_figures(config: RunConfig, out: Path):
@@ -387,10 +386,9 @@ def _run_figures(config: RunConfig, out: Path):
                 + _key_lines(config, _GRID_KEYS))
         for stem, (file_regimes, names) in _FIGURE_FILES.items():
             if regime in file_regimes:
-                columns = ["omega"] + names
+                columns = {c: report[c] for c in ["omega", *names]}
                 written.append(_write_csv(
-                    out / f"{stem}_regime{regime}.csv", meta, columns,
-                    zip(*(report[c] for c in columns))))
+                    out / f"{stem}_regime{regime}.csv", meta, columns))
     return written
 
 
@@ -410,13 +408,13 @@ _EXIT_CODES = {ConfigParse: 2, NotStationary: 3, IoError: 4,
                NonHermitianResidue: 6}
 
 
-def _write_gnuplot(written: list[tuple[Path, list[str]]], out: Path) -> Path:
+def _write_gnuplot(written: list[tuple[Path, dict]], out: Path) -> Path:
     lines = ["set datafile separator ','", "set key outside", ""]
-    for path, columns in written:
+    for path, (x, *names) in written:
         plot = ", ".join(
             f"'{path.name}' using 1:{idx + 2} with lines title "
-            f"'{name}'" for idx, name in enumerate(columns[1:]))
-        lines += [f"set xlabel '{columns[0]}'", f"plot {plot}", "pause -1", ""]
+            f"'{name}'" for idx, name in enumerate(names))
+        lines += [f"set xlabel '{x}'", f"plot {plot}", "pause -1", ""]
     script = out / "plots.gp"
     try:
         script.write_text("\n".join(lines), encoding="utf-8")

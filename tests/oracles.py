@@ -3,14 +3,19 @@
 relax_from_vacuum finds the stable stationary state by integrating the
 classical equations of motion forward in time, a route independent of the
 closed form in harmoniccascade.semiclassical.  Tests compare the two.
+
+write_csv_per_cell writes a CLI artifact one cell at a time through
+csv.writer, the reference for the column writer in harmoniccascade.cli.
 """
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from harmoniccascade import FieldState, SystemParams, validate_params
+from harmoniccascade import (FieldState, SystemParams, __version__,
+                             validate_params)
 from harmoniccascade.model import doubled_drift
 from harmoniccascade.semiclassical import _STATIONARY_TOL, _residual_of
 
@@ -84,3 +89,30 @@ def relax_from_vacuum(p: SystemParams, t_max: float = 400.0) -> Relaxation:
         res = _residual_of(_unpack(y), p)
     return Relaxation(state=_unpack(y), residual=res,
                       converged=res <= _STATIONARY_TOL)
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+def write_csv_per_cell(path, meta, columns, rows, footer=None) -> None:
+    """The CLI's CSV format, each cell formatted and quoted on its own.
+
+    The version line and ``# `` meta lines, the header, one row per item of
+    rows through csv.writer (which quotes a cell where the format needs
+    it), then ``# `` footer lines.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# harmoniccascade {__version__}\n")
+        for line in meta:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_cell(x) for x in row])
+        for line in footer or ():
+            fh.write(f"# {line}\n")

@@ -18,7 +18,7 @@ from harmoniccascade.cli import (
     main,
     parse_config_file,
 )
-from oracles import relax_from_vacuum
+from oracles import relax_from_vacuum, write_csv_per_cell
 
 
 def _read_rows(path):
@@ -62,6 +62,19 @@ def test_epsilon_flag_overrides_preset():
     cfg = build_config(["steady", "--regime", "2", "--epsilon", "0"])
     assert cfg.params.epsilon == 0.0
     assert cfg.params.kappa1 == REGIME_PRESETS[2].kappa1
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    assert cli._make_parser() is cli._make_parser()
+    assert build_config(["steady", "--gnuplot"]).gnuplot
+    assert not build_config(["steady"]).gnuplot
+    assert build_config(["steady", "--epsilon", "150"]).params.epsilon == 150.0
+    assert build_config(["steady"]).params == REGIME_PRESETS[1]
+    grid = build_config(["spectra", "--omega-range", "-5:5:11"]).omega_steps
+    assert (grid, build_config(["spectra"]).omega_steps) == (11, 801)
+    assert build_config(["--mode", "spectra"]).mode == "spectra"
+    with pytest.raises(ConfigParse, match="mode is required"):
+        build_config([])
 
 
 def test_omega_range_flag():
@@ -478,3 +491,60 @@ def test_deterministic_modes_match_references(mode, tmp_path):
             if e.size:
                 tol = 1e-9 * np.abs(e) + 1e-12 * np.abs(e).max()
                 assert np.all(np.abs(g - e) <= tol), (name, line)
+
+
+@pytest.fixture(scope="module")
+def written_csvs(tmp_path_factory):
+    """(path, meta, columns, footer) of each CSV every mode writes, on a
+    9-point grid and a 40-trajectory ensemble."""
+    calls = []
+    write = cli._write_csv
+
+    def record(path, meta, columns, footer=None):
+        calls.append((path, meta, columns, footer))
+        return write(path, meta, columns, footer)
+
+    out = tmp_path_factory.mktemp("modes")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_write_csv", record)
+        for mode in cli.MODES:
+            args = [mode, "--omega-range", "-4:4:9", "--out", str(out / mode)]
+            if mode == "stochastic":
+                args += ["--n-traj", "40", "--dt", "0.005", "--t-end", "2"]
+            assert main(args) == 0
+    return calls
+
+
+def test_writer_matches_per_cell_oracle(written_csvs, tmp_path):
+    """The column writer's bytes equal csv.writer's, cell by cell."""
+    assert len(written_csvs) == 9
+    for path, meta, columns, footer in written_csvs:
+        ref = tmp_path / path.name
+        write_csv_per_cell(ref, meta, list(columns), zip(*columns.values()),
+                           footer)
+        assert path.read_bytes() == ref.read_bytes(), path.name
+    edges = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308]
+    columns = {"x": np.array(edges), "name": [f"n_{i}" for i in range(6)],
+               "y": [0.1, 1.0, -2.5, 1e-300, 123456789.0, 3.0]}
+    got, ref = tmp_path / "edges.csv", tmp_path / "edges_ref.csv"
+    cli._write_csv(got, ["a = 1"], columns, ["end"])
+    write_csv_per_cell(ref, ["a = 1"], list(columns), zip(*columns.values()),
+                       ["end"])
+    assert got.read_bytes() == ref.read_bytes()
+    assert b"\n-0,n_0,0.10000000000000001\nnan,n_1,1\n" in got.read_bytes()
+
+
+def test_no_name_or_cell_needs_quoting(written_csvs):
+    # The writer joins cells with commas and quotes nothing.  Every mode ran,
+    # so the headers and text cells seen are all the CLI writes.
+    texts = set()
+    for _, _, columns, _ in written_csvs:
+        texts.update(columns)
+        texts.update(cell for values in columns.values()
+                     for cell in np.asarray(values).tolist()
+                     if isinstance(cell, str))
+    assert {name for name, _, _ in cli._MOMENTS} <= texts
+    assert {name for _, names in cli._FIGURE_FILES.values()
+            for name in names} <= texts
+    assert {"alpha1_re", "vx1", "gain_12", "epsilon", "time"} <= texts
+    assert all(text and not set(text) & set(',"\r\n') for text in texts)

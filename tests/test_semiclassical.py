@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from harmoniccascade import (
     algebraic_steady_state,
     pulsing_threshold,
     require_steady_state,
+    semiclassical,
 )
 from harmoniccascade.cli import main
 from harmoniccascade.model import doubled_drift
@@ -133,7 +135,7 @@ def test_routes_agree_across_pump_strengths(regime, frac, phase):
 
 # Rates over one to two decades each around the presets.  The box stops where
 # thresholds pass about 1e3: beyond that the drift terms reach 1e3-1e4 and a
-# few ulps of roundoff exceed the absolute 1e-12 residual bound.
+# few ulps of roundoff exceed the oracle's absolute 1e-12 residual bound.
 @given(kappa1=st.floats(5e-3, 5e-2), kappa2=st.floats(5e-3, 2e-1),
        gamma2=st.floats(0.1, 1.0), gamma3=st.floats(0.05, 0.5),
        frac=st.floats(0.0, 0.9), phase=st.floats(-np.pi, np.pi))
@@ -152,6 +154,30 @@ def test_routes_agree_beyond_the_presets(kappa1, kappa2, gamma2, gamma3,
     ode = relax_from_vacuum(p, t_max=3000.0)
     assert ode.converged
     assert np.abs(ss.state.alpha - ode.state.alpha).max() < 1e-9
+
+
+def test_residual_bound_scales_with_the_largest_drift_term(monkeypatch):
+    # Threshold 1487.4: at this complex pump, 0.92 of it, the exact point's
+    # roundoff leaves 4.5 ulps of the pump, the largest term; an absolute
+    # 1e-12 refused it.
+    eps = complex(1362.2278962951862, -41.68979117524215)
+    p = SystemParams(5e-3, 5e-3, eps, 1.0, 2.0, 0.5)
+    ss = require_steady_state(p)
+    assert 1e-12 < ss.residual <= 16 * math.ulp(abs(p.epsilon))
+    bound = semiclassical._residual_bound(ss.state, p)
+    assert bound == 16 * math.ulp(abs(p.epsilon))
+    # Where every term is below 1024 the floor of 1e-12 holds.
+    preset = REGIME_PRESETS[1]
+    state = algebraic_steady_state(preset)
+    assert semiclassical._residual_bound(state, preset) == 1e-12
+    # A residual at the bound passes, one just above it is refused.
+    monkeypatch.setattr(semiclassical, "_residual_of", lambda s, q: bound)
+    assert require_steady_state(p).residual == bound
+    above = math.nextafter(bound, math.inf)
+    monkeypatch.setattr(semiclassical, "_residual_of", lambda s, q: above)
+    with pytest.raises(NotStationary, match=f"above {bound:.3e}, the larger "
+                       "of 1e-12 and 16 ulps of the largest drift term"):
+        require_steady_state(p)
 
 
 @pytest.mark.parametrize("eps", [1e-300, 1e-160, 1e60, 1e100, 1e300,
