@@ -1,7 +1,8 @@
 """Output quadrature spectra of the three cavity fields.
 
 Linearizing around the steady state gives an Ornstein-Uhlenbeck model whose
-output spectra follow from two 6x6 solves per frequency.  The interesting
+output spectra follow from one eigendecomposition of its drift per steady
+state, as a sum of six poles at every frequency.  The interesting
 structure lives within a few cavity linewidths of resonance: each mode shows
 modest single-mode squeezing in one quadrature, and every spectrum respects
 the uncertainty product and the omega -> -omega symmetry.

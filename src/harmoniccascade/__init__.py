@@ -38,7 +38,6 @@ from .correlations import (
     CorrelationReport,
     DegenerateVariance,
     GridSummary,
-    classify,
     evaluate_grid,
     obr_inferred,
     obr_product,
@@ -72,7 +71,7 @@ __all__ = [
     "DriftDiffusion", "SpectrumResult", "build_drift", "build_diffusion",
     "intracavity_spectrum", "spectrum_grid", "lyapunov_covariance",
     "default_omega_grid",
-    "CorrelationReport", "GridSummary", "DegenerateVariance", "classify",
+    "CorrelationReport", "GridSummary", "DegenerateVariance",
     "evaluate_grid", "summarize_grid",
     "vlf_pair", "vlf_triple", "obr_inferred", "obr_product",
     "EnsembleMoments", "ExcessiveDivergence", "make_rng", "run_ensemble",

@@ -168,10 +168,8 @@ def _make_parser() -> _Parser:
     # Mode and regime are checked by RunConfig; the metavars list the choices.
     parser = _Parser(prog="harmoniccascade",
                      description="Cascaded harmonic generation analysis")
-    parser.add_argument("mode_pos", nargs="?", metavar="MODE",
+    parser.add_argument("mode", nargs="?", metavar="MODE",
                         help="one of: " + ", ".join(MODES))
-    parser.add_argument("--mode", dest="mode_flag",
-                        metavar="{" + ",".join(MODES) + "}")
     parser.add_argument("--config", metavar="PATH")
     parser.add_argument("--regime", type=int,
                         metavar="{" + ",".join(map(str, REGIME_PRESETS)) + "}")
@@ -211,10 +209,6 @@ def build_config(argv: list[str]) -> RunConfig:
     the flags of the three grid keys.
     """
     ns = _make_parser().parse_args(_join_omega_range(argv))
-    if ns.mode_pos and ns.mode_flag and ns.mode_pos != ns.mode_flag:
-        raise ConfigParse(f"mode given twice: {ns.mode_pos!r} and "
-                          f"{ns.mode_flag!r}")
-    ns.mode = ns.mode_flag or ns.mode_pos
     entries = parse_config_file(ns.config) if ns.config else {}
     if ns.omega_range is not None:
         parts = ns.omega_range.split(":")
@@ -229,7 +223,7 @@ def build_config(argv: list[str]) -> RunConfig:
                          if getattr(ns, key, None) is not None}}
     mode = got.get("mode")
     if mode is None:
-        raise ConfigParse("mode is required (positional or --mode)")
+        raise ConfigParse("mode is required (MODE or config key mode)")
     if mode == "figures" and not got.keys().isdisjoint(_PARAM_KEYS):
         raise ConfigParse("figures mode uses the regime presets; it takes "
                           "no --epsilon and no parameter keys")

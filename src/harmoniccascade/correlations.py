@@ -47,7 +47,6 @@ __all__ = [
     "vlf_triple",
     "obr_inferred",
     "obr_product",
-    "classify",
     "evaluate_grid",
     "summarize_grid",
 ]
@@ -249,27 +248,10 @@ def _report(omega, pair, gains, triple, obr) -> CorrelationReport:
     )
 
 
-def classify(omega: float | np.ndarray,
-             v_pair: dict[tuple[int, int], float],
-             gains: dict[tuple[int, int], float],
-             v_triple: dict[tuple[int, int, int], float],
-             obr: dict[tuple[int, int, int], float]) -> CorrelationReport:
-    """Assemble the report and set every threshold flag.
-
-    All inputs must have been computed at the same frequency or frequencies;
-    the grid-level minima are the caller's business.
-    """
-    return _report(omega, *(np.array([values[key] for key in order])
-                            for values, order in ((v_pair, PAIR_ORDER),
-                                                  (gains, PAIR_ORDER),
-                                                  (v_triple, TRIPLE_ORDER),
-                                                  (obr, OBR_ORDER))))
-
-
 def evaluate_grid(spectra) -> CorrelationReport:
     """Compute all correlations from a SpectrumResult's output spectra and
-    classify them: arrays over a grid, scalars at one frequency.  Each
-    family is evaluated over its three permutations at once."""
+    set every threshold flag: arrays over a grid, scalars at one frequency.
+    Each family is evaluated over its three permutations at once."""
     S = spectra.s_quad
     pair, gains = _pair_values(S.matrix.T, _PAIR_TABLE)
     trio = _trio_terms(S.matrix.T, _TRIO_TABLE)

@@ -156,9 +156,9 @@ class DriftDiffusion:
         return cls(a_matrix=A, d_matrix=D)
 
 
-def _pole_residues(lam, V, D, poles=slice(None)) -> np.ndarray:
+def _pole_residues(lam, V, D, poles) -> np.ndarray:
     """Upper triangles (k, 21) of the residues R_j of M for the poles j
-    selected by poles, all six by default (module docstring)."""
+    selected by poles (module docstring)."""
     Vinv = np.linalg.inv(V)
     C = (Vinv[poles] @ D @ Vinv.T) / (lam[poles, None] + lam)
     Vt, W = V.T[poles], C @ V.T    # P[j] = v_j W_j, R_j = P_j + P_j^T
@@ -235,14 +235,17 @@ def intracavity_spectrum(A: np.ndarray, D: np.ndarray,
 class SpectrumResult:
     """Output spectra at one frequency or over a grid.
 
-    Over n frequencies omega is an array and s_quad one QuadCovariance
-    stack; at one frequency omega is a scalar and s_quad one 6x6 matrix.
-    len() counts the frequencies, and indexing along omega gives the
-    spectra there: an int one frequency, a slice a sub-grid.
+    s_quad is one QuadCovariance stack over n frequencies, or one 6x6
+    matrix at one frequency; omega reads its frequencies.  len() counts
+    them, and indexing along omega gives the spectra there: an int one
+    frequency, a slice a sub-grid.
     """
 
-    omega: float | np.ndarray
     s_quad: QuadCovariance
+
+    @property
+    def omega(self) -> float | np.ndarray:
+        return self.s_quad.omega
 
     def __len__(self) -> int:
         return int(np.size(self.omega))
@@ -250,9 +253,8 @@ class SpectrumResult:
     def __getitem__(self, index) -> "SpectrumResult":
         if np.ndim(self.omega) == 0:    # else iteration would end silently
             raise TypeError("one frequency has no frequency axis to index")
-        omega = self.omega[index]
-        return SpectrumResult(omega=omega, s_quad=QuadCovariance(
-            omega=omega, matrix=self.s_quad.matrix[index]))
+        return SpectrumResult(QuadCovariance(
+            omega=self.omega[index], matrix=self.s_quad.matrix[index]))
 
 
 def spectrum_grid(p: SystemParams, dd: DriftDiffusion,
@@ -278,8 +280,7 @@ def spectrum_grid(p: SystemParams, dd: DriftDiffusion,
                        g[_UPPER[0]] * g[_UPPER[1]])
     entries[:, :6] += 1.0    # the vacuum floor, on the diagonal entries
     matrix = entries[:, _SYM].reshape(np.shape(omegas) + (6, 6))
-    s_quad = QuadCovariance(omega=omegas, matrix=matrix)
-    return SpectrumResult(omega=omegas, s_quad=s_quad)
+    return SpectrumResult(QuadCovariance(omega=omegas, matrix=matrix))
 
 
 def lyapunov_covariance(A: np.ndarray, D: np.ndarray) -> np.ndarray:

@@ -168,6 +168,17 @@ def _mean_and_stderr(values: np.ndarray):
     return mean, se
 
 
+def _moments(v: np.ndarray) -> tuple:
+    """Means, pair products and fluctuation covariance of the live columns v
+    of the (6, n) doubled state, each followed by its stderr."""
+    if v.shape[1] == 0:
+        raise ExcessiveDivergence("all trajectories diverged")
+    means, means_se = _mean_and_stderr(v)
+    w = v - means[:, None]
+    return (means, means_se, *_mean_and_stderr(v[:, None, :] * v[None, :, :]),
+            *_mean_and_stderr(w[:, None, :] * w[None, :, :]))
+
+
 @dataclass(frozen=True)
 class EnsembleMoments:
     """Ensemble statistics at the sampled times.
@@ -220,9 +231,9 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
     n_steps = step_count(dt, t_end)
     if n_traj < 1:
         raise ValueError("n_traj must be positive")
-    sample_steps = sorted({min(n_steps, max(1, int(round(ts / dt))))
-                           for ts in (0.5 * t_end, 0.75 * t_end, t_end)})
-    t_grid = np.array([s * dt for s in sample_steps])
+    sample_steps = {min(n_steps, max(1, int(round(ts / dt))))
+                    for ts in (0.5 * t_end, 0.75 * t_end, t_end)}
+    t_grid = np.array([s * dt for s in sorted(sample_steps)])
 
     if initial is None:
         initial = FieldState.vacuum()
@@ -231,29 +242,13 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
     alive = np.ones(n_traj, dtype=bool)
     rng = make_rng(seed)
 
-    n_samples = len(sample_steps)
-    means, means_se = np.empty((2, n_samples, 6), dtype=complex)
-    m2, m2_se, fcov, fcov_se = np.empty((4, n_samples, 6, 6), dtype=complex)
-
-    def record(slot: int) -> None:
-        # C-ordered, unlike [:, alive], so the means sum in the same order
-        v = s.reshape(6, n_traj).compress(alive, axis=1)
-        if v.shape[1] == 0:
-            raise ExcessiveDivergence("all trajectories diverged")
-        means[slot], means_se[slot] = _mean_and_stderr(v)
-        prod = v[:, None, :] * v[None, :, :]
-        m2[slot], m2_se[slot] = _mean_and_stderr(prod)
-        w = v - means[slot][:, None]
-        dev = w[:, None, :] * w[None, :, :]
-        fcov[slot], fcov_se[slot] = _mean_and_stderr(dev)
-
-    sample_iter = iter(enumerate(sample_steps))
-    next_slot, next_step = next(sample_iter)
+    samples = []
     with (np.errstate(invalid="ignore", over="ignore"),
           _noise_blocks(rng, n_traj, n_steps) as blocks):
         for step, noise in enumerate(blocks, start=1):
             _apply_step(s, e, p, dt, noise)
-            if step % 200 == 0 or step == n_steps or step == next_step:
+            sampled = step in sample_steps
+            if step % 200 == 0 or sampled:    # the last step is sampled
                 # max propagates NaN, and NaN <= cap is False
                 ok = np.abs(s).max(axis=(0, 1)) <= _AMPLITUDE_CAP
                 newly_dead = alive & ~ok
@@ -261,9 +256,11 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
                     alive &= ok
                     # park escaped columns so they stop producing overflow
                     s[..., newly_dead] = 0
-            if step == next_step:
-                record(next_slot)
-                next_slot, next_step = next(sample_iter, (None, -1))
+            if sampled:
+                # C-ordered, unlike [:, alive]: the means sum in the same order
+                samples.append(_moments(
+                    s.reshape(6, n_traj).compress(alive, axis=1)))
+    means, means_se, m2, m2_se, fcov, fcov_se = map(np.array, zip(*samples))
 
     divergent = int(n_traj - alive.sum())
     result = EnsembleMoments(

@@ -111,7 +111,7 @@ def test_criterion_4_regime2_obr_pattern(summary2):
 def test_criterion_5_vacuum_calibration():
     vac = QuadCovariance(omega=0.0, matrix=np.eye(6))
     dev_identity = np.abs(vac.matrix - np.eye(6)).max()
-    report = evaluate_grid(SpectrumResult(omega=0.0, s_quad=vac))
+    report = evaluate_grid(SpectrumResult(vac))
     dev_pair = max(abs(v - 4.0) for v in report.v_pair.values())
     dev_triple = max(abs(v - 4.0) for v in report.v_triple.values())
     dev_obr = max(abs(v - 1.0) for v in report.obr.values())

@@ -37,11 +37,17 @@ def test_mode_is_required():
         build_config(["--regime", "1"])
 
 
-def test_mode_flag_and_positional_must_agree():
-    both = build_config(["steady", "--mode", "steady"])
-    assert both.mode == "steady"
-    with pytest.raises(ConfigParse, match="twice"):
+def test_mode_is_the_positional_or_the_config_key(tmp_path):
+    # MODE outranks the file's mode key, as every flag does; --mode is no flag
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("mode = steady\n", encoding="utf-8")
+    assert build_config(["--config", str(cfg_file)]).mode == "steady"
+    assert build_config(["spectra", "--config",
+                         str(cfg_file)]).mode == "spectra"
+    with pytest.raises(ConfigParse, match="unrecognized arguments: --mode"):
         build_config(["steady", "--mode", "spectra"])
+    assert main(["--mode", "spectra", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "spectra.csv").exists()
 
 
 def test_unknown_mode_rejected():
@@ -72,7 +78,6 @@ def test_parser_is_built_once_and_keeps_no_state():
     assert build_config(["steady"]).params == REGIME_PRESETS[1]
     grid = build_config(["spectra", "--omega-range", "-5:5:11"]).omega_steps
     assert (grid, build_config(["spectra"]).omega_steps) == (11, 801)
-    assert build_config(["--mode", "spectra"]).mode == "spectra"
     with pytest.raises(ConfigParse, match="mode is required"):
         build_config([])
 

@@ -11,7 +11,6 @@ from harmoniccascade import (
     DegenerateVariance,
     QuadCovariance,
     SpectrumResult,
-    classify,
     evaluate_grid,
     obr_inferred,
     obr_product,
@@ -20,7 +19,8 @@ from harmoniccascade import (
     vlf_pair,
     vlf_triple,
 )
-from harmoniccascade.correlations import OBR_ORDER, PAIR_ORDER, TRIPLE_ORDER
+from harmoniccascade.correlations import (OBR_ORDER, PAIR_ORDER,
+                                          TRIPLE_ORDER, _report)
 
 # Grid minima on the default 801-point grid, frozen from cross-checked runs
 # (the spectra route agrees with an independent input-output computation to
@@ -169,11 +169,12 @@ def test_report_collects_all_families(spectra1):
 
 
 def test_classify_flags_on_synthetic_values():
-    v_pair = {(1, 2): 3.0, (1, 3): 3.9, (2, 3): 4.5}
-    gains = {pq: 0.0 for pq in PAIR_ORDER}
-    v_triple = {(1, 2, 3): 1.8, (2, 3, 1): 4.2, (3, 1, 2): 5.0}
-    obr = {(1, 2, 3): 0.7, (2, 1, 3): 1.1, (3, 1, 2): 0.9}
-    r = classify(0.0, v_pair, gains, v_triple, obr)
+    v_pair = np.array([3.0, 3.9, 4.5])      # in PAIR_ORDER
+    v_triple = np.array([1.8, 4.2, 5.0])    # in TRIPLE_ORDER
+    obr = np.array([0.7, 1.1, 0.9])         # in OBR_ORDER
+    r = _report(0.0, v_pair, np.zeros(3), v_triple, obr)
+    assert (r.v_pair[(1, 3)], r.v_triple[(2, 3, 1)], r.obr[(2, 1, 3)]) == (
+        3.9, 4.2, 1.1)
     assert r.inseparable_pairwise            # two pairs below 4
     assert r.inseparable_triple
     assert not r.tr_entangled_pairwise       # sum 11.4 not below 8
@@ -290,7 +291,7 @@ def test_grid_raise_names_the_per_permutation_failure(entries, call):
     with pytest.raises(DegenerateVariance) as one:
         call(stack)
     with pytest.raises(DegenerateVariance) as grid:
-        evaluate_grid(SpectrumResult(omega=omega, s_quad=stack))
+        evaluate_grid(SpectrumResult(stack))
     assert str(grid.value) == str(one.value)
 
 

@@ -466,10 +466,15 @@ def test_spectrum_grid_carries_frequencies(regime1, dd1):
     np.testing.assert_array_equal(vac.s_quad.matrix, np.eye(6))
 
 
-@pytest.mark.parametrize("regime", [1, 2])
-def test_lyapunov_solution_solves_the_equation(regime, request):
-    dd = request.getfixturevalue(f"dd{regime}")
-    C = request.getfixturevalue(f"lyap{regime}")
+@pytest.mark.parametrize("regime,epsilon", [
+    pytest.param(1, 105.0, id="1"), pytest.param(2, 105.0, id="2"),
+    # two drift eigenvalues meet near here: cond(V) is 1e5, and a covariance
+    # from the eigenbasis misses this bound by a factor of hundreds or more
+    pytest.param(2, 57.1757744, id="2-near-defective")])
+def test_lyapunov_solution_solves_the_equation(regime, epsilon):
+    p = replace(REGIME_PRESETS[regime], epsilon=epsilon)
+    dd = DriftDiffusion.from_steady_state(p, require_steady_state(p).state)
+    C = lyapunov_covariance(dd.a_matrix, dd.d_matrix)
     resid = np.abs(dd.a_matrix @ C + C @ dd.a_matrix.T - dd.d_matrix).max()
     assert resid < 1e-10 * max(1.0, np.abs(dd.d_matrix).max())
 
@@ -530,7 +535,7 @@ def test_pole_residues_sum_to_lyapunov(regime, frac, phase):
     lam, V = np.linalg.eig(A)
     assume(np.linalg.cond(V) <= _MODAL_COND_MAX)    # else two solves are used
     C = lyapunov_covariance(A, D)
-    total = _pole_residues(lam, V, D).sum(axis=0)[_SYM]
+    total = _pole_residues(lam, V, D, slice(None)).sum(axis=0)[_SYM]
     assert np.abs(total - (C + C.T)).max() <= 1e-10 * np.abs(C).max()
 
 

@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -103,9 +106,14 @@ def test_quad_covariance_variance_over_a_stack():
 
 
 def test_public_names_resolve():
-    # `from harmoniccascade import *` fails on any stale __all__ entry
-    for name in harmoniccascade.__all__:
-        assert hasattr(harmoniccascade, name), name
+    # `from harmoniccascade[.module] import *` fails on any stale __all__ entry
+    modules = [harmoniccascade] + [
+        importlib.import_module(f"harmoniccascade.{info.name}")
+        for info in pkgutil.iter_modules(harmoniccascade.__path__)]
+    assert len(modules) >= 7    # the package and each of its modules
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_quad_covariance_symmetrizes_small_residue():

@@ -2,12 +2,13 @@
 
 Runs ``perfbench/run.py`` for every workload in ``BENCHMARK.json`` at seed
 9001 for the benchmark's ``run_seconds``: ``--trace 0`` runs for the end-to-end
-metrics and one ``--trace 1`` run per side for the per-layer metrics.  Runs
-in the parent checkout (``--parent DIR``) and in this one alternate, the side
-that runs first swapping from pair to pair, and every pair is compared metric
-by metric.  Each run's result file is copied under ``.perfbench/bench-<pr>/``
-and named in the record, next to its metrics, git SHA, ``nproc`` and
-calibration samples.
+metrics and ``--trace 1`` runs for the per-layer metrics, three per side (as
+many as the ``--trace 0`` pairs when a workload has fewer), whose medians are
+recorded.  Runs in the parent checkout (``--parent DIR``) and in this one
+alternate, the side that runs first swapping from pair to pair, and every
+``--trace 0`` pair is compared metric by metric.  Each run's result file is
+copied under ``.perfbench/bench-<pr>/`` and named in the record, next to its
+metrics, git SHA, ``nproc`` and calibration samples.
 
     python3 tools/bench_record.py --pr N --parent ../parent \\
         --runs pump_sweep=10 --runs ensemble_flagship=3 --runs cli_modes=3
@@ -159,7 +160,7 @@ def main(argv=None) -> int:
     shutil.rmtree(store, ignore_errors=True)
     runs = {side: {} for side in sides}
     for workload, n in args.runs.items():
-        for trace, count in ((0, n), (1, 1)):
+        for trace, count in ((0, n), (1, min(n, 3))):
             for i in range(count):
                 order = list(sides) if i % 2 == 0 else list(sides)[::-1]
                 for side in order:
