@@ -101,8 +101,8 @@ def half_drift(x, y, e, p: SystemParams) -> tuple:
 
     y holds the partner half and e the pump x sees: f(a, b, epsilon) drives
     alpha, f(b, a, conj(epsilon)) alpha_plus.  x and y index modes first, as
-    scalar triples or arrays; a stacked state s with s[i] = (a_i, b_i) is
-    served whole by x = s, y = s[:, ::-1] and e = [[epsilon], [conj(epsilon)]].
+    scalar triples or arrays.  The stochastic ensemble step writes the same
+    arithmetic in place, and a test pins it to doubled_drift bit for bit.
     """
     x1, x2, x3 = x
     y1, y2, y3 = y
@@ -123,9 +123,8 @@ def doubled_drift(a, b, p: SystemParams) -> tuple:
 def noise_variances(x, p: SystemParams) -> tuple:
     """Squared noise coefficients on x1 and x2; mode 3 is noiseless.
 
-    Takes x as half_drift does, so a stacked state s gives the variances on
-    (a1, b1) and (a2, b2).  These are the diagonal of the diffusion matrix;
-    they may be negative or complex in the doubled space.
+    Takes x as half_drift does.  These are the diagonal of the diffusion
+    matrix; they may be negative or complex in the doubled space.
     """
     return p.kappa1 * x[1], p.kappa2 * x[2]
 

@@ -13,8 +13,10 @@ beyond a hard cap are classified as divergent and excluded from averages
 rather than silently integrated on.  The ensemble is one (3, 2, n_traj)
 array s with s[i] = (alpha_i, alpha_i_plus), the order of
 FieldState.doubled(): the alpha_plus equations are the alpha equations with
-the halves swapped and the pump conjugated, so each model.half_drift term
-is one array operation over both halves.
+the halves swapped and the pump conjugated, so the step does each operation
+of model.doubled_drift and noise_variances as one ufunc call over both halves
+into arrays made once per run, with their per-element arithmetic bit for
+bit (test_stacked_step_matches_row_by_row_equations_bit_for_bit).
 
 Reproducibility contract: the generator is counter-based (Philox keyed by
 the seed) and the run consumes one (4, n_traj) block of standard normals per
@@ -37,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (FieldState, SystemParams, half_drift, noise_variances,
-                    validate_params)
+from .model import FieldState, SystemParams, validate_params
 
 __all__ = [
     "EnsembleMoments",
@@ -55,13 +56,14 @@ _DIVERGENCE_BUDGET = 0.01
 # Ensemble width from which the noise is drawn on a worker thread.  Handing a
 # chunk to and from the thread costs about the same at any width, while the
 # draw it hides grows with the width (Philox fills the chunk without the GIL,
-# and a wide step's ufuncs release it too).  Medians of 6 to 10 alternating
-# runs per width and pass, regime 1, 2-core shared host, pipelined against
-# serial in scaled us per step, ranges over passes: 82-96 vs 79-90 at 300,
-# 124-129 vs 117-127 at 500, 156-167 vs 147-156 at 700, 153-216 vs 194-210 at
-# 1000, 301-462 vs 413-455 at 2000 trajectories.  Below 1000 the thread never
-# paid; from 1000 it pays while the second core is free and costs at most 7%
-# when it is not.
+# and a wide step's ufuncs release it too).  In-process medians of 10
+# alternating runs per width and pass with the in-place step, regime 1 from
+# the steady state, 2-core shared host, pipelined against serial in raw us per
+# step over two passes: 73 and 68 vs 67 and 66 at 300, 162 and 99 vs 149 and
+# 97 at 500, 299 and 276 vs 289 and 275 at 1000; one pass, 359 vs 366 at 1500
+# and 573 vs 577 at 2000 trajectories.  Below 1000 the thread lost in the
+# median of every pass; from 1000 to 2000 neither path won 9 of 10 pairs in
+# every pass.
 _PIPELINE_MIN_TRAJ = 1000
 # Steps of noise drawn by one generator call, as one (m, 4, n_traj) array.
 # The generator keeps no state between calls but its Philox counter, so a
@@ -141,18 +143,39 @@ def _noise_blocks(rng: np.random.Generator, n_traj: int, n_steps: int):
         yield ahead()
 
 
-def _apply_step(s: np.ndarray, e: np.ndarray, p: SystemParams, dt: float,
-                noise: np.ndarray) -> None:
-    # In-place Euler-Maruyama update of the state s, e the halves' pumps;
-    # noise coefficients use the pre-step state (Ito reading, which the
-    # equations' form makes equivalent to Stratonovich for these moments).
-    kicks = [np.sqrt(v) * w for v, w in
-             zip(noise_variances(s, p), np.sqrt(dt) * noise.reshape(2, 2, -1))]
-    for row, drift in zip(s, half_drift(s, s[:, ::-1], e, p)):
-        drift *= dt
-        row += drift
-    for row, kick in zip(s, kicks):
-        row += kick
+def _euler_step(s: np.ndarray, p: SystemParams, dt: float):
+    """The in-place Euler-Maruyama update of the (3, 2, n) state s, as a
+    function of one (4, n) noise block, which it scales in place; a step
+    allocates nothing.  The noise coefficients use the pre-step state (Ito
+    reading, which the equations' form makes equivalent to Stratonovich for
+    these moments)."""
+    x12, x23, y12 = s[:2], s[1:], s[:2, ::-1]
+    rates = np.array([p.gamma1, -p.gamma2, -p.gamma3], complex)[:, None, None]
+    kappa = np.array([p.kappa1, p.kappa2], complex)[:, None, None]
+    half_kappa = 0.5 * kappa
+    e = np.array([[p.epsilon], [np.conj(p.epsilon)]], dtype=complex)
+    sqrt_dt = np.sqrt(dt)
+    drift = np.empty_like(s)
+    pair = np.empty_like(x23)
+
+    def step(noise: np.ndarray) -> None:
+        np.multiply(rates, s, out=drift)
+        np.subtract(e, drift[0], out=drift[0])
+        np.multiply(kappa, y12, out=pair)        # k1 y1 x2, k2 y2 x3
+        np.multiply(pair, x23, out=pair)
+        np.add(drift[:2], pair, out=drift[:2])
+        np.multiply(half_kappa, x12, out=pair)   # 0.5 k1 x1 x1, 0.5 k2 x2 x2
+        np.multiply(pair, x12, out=pair)
+        np.subtract(drift[1:], pair, out=drift[1:])
+        np.multiply(kappa, x23, out=pair)        # the noise variances
+        np.sqrt(pair, out=pair)
+        np.multiply(sqrt_dt, noise, out=noise)
+        np.multiply(pair, noise.reshape(2, 2, -1), out=pair)
+        np.multiply(drift, dt, out=drift)
+        np.add(s, drift, out=s)
+        np.add(x12, pair, out=x12)
+
+    return step
 
 
 def _mean_and_stderr(values: np.ndarray):
@@ -238,7 +261,7 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
     if initial is None:
         initial = FieldState.vacuum()
     s = np.tile(initial.doubled().reshape(3, 2, 1), (1, 1, n_traj))
-    e = np.array([[p.epsilon], [np.conj(p.epsilon)]], dtype=complex)  # (2, 1)
+    step_once = _euler_step(s, p, dt)
     alive = np.ones(n_traj, dtype=bool)
     rng = make_rng(seed)
 
@@ -246,7 +269,7 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
     with (np.errstate(invalid="ignore", over="ignore"),
           _noise_blocks(rng, n_traj, n_steps) as blocks):
         for step, noise in enumerate(blocks, start=1):
-            _apply_step(s, e, p, dt, noise)
+            step_once(noise)
             sampled = step in sample_steps
             if step % 200 == 0 or sampled:    # the last step is sampled
                 # max propagates NaN, and NaN <= cap is False

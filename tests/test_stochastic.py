@@ -9,6 +9,7 @@ seed below is fixed, so the suite is deterministic despite the statistics.
 """
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import first_order_mean_shift, interleaved_drift
-from harmoniccascade import FieldState, SystemParams, run_ensemble, stochastic
+from harmoniccascade import (REGIME_PRESETS, FieldState, SystemParams,
+                             run_ensemble, stochastic)
 from harmoniccascade.model import doubled_drift, noise_variances
 from harmoniccascade.stochastic import ExcessiveDivergence, make_rng
 
@@ -101,39 +103,70 @@ def test_step_escape_in_plus_half_alone_raises(regime1):
         run_ensemble(regime1, dt=1e-3, t_end=1e-3, n_traj=1, initial=s)
 
 
-def test_stacked_step_matches_row_by_row_equations_bit_for_bit():
+_S0 = FieldState(alpha=[0.3 + 0.1j, 2.0 - 1.0j, 0.5j],
+                 alpha_plus=[0.25 - 0.05j, -1.0 + 0.3j, 0.2])
+
+# name: (params, run settings, initial state); every run samples at whole
+# steps, half, three quarters and all the way through.
+_STEP_CASES = {
+    "complex_pump": (SystemParams(5e-3, 2e-2, 80.0 + 30.0j, 1.0, 0.5, 0.5),
+                     dict(dt=1e-3, t_end=4e-3, n_traj=5, seed=8), _S0),
+    # more steps than one noise chunk, at an odd width
+    "regime2_complex_pump_odd_width": (
+        replace(REGIME_PRESETS[2], epsilon=60.0 - 85.0j),
+        dict(dt=1e-3, t_end=12e-3, n_traj=301, seed=4), _S0),
+    "zero_pump": (SystemParams(5e-3, 2e-2, 0.0, 1.0, 0.5, 0.5),
+                  dict(dt=1e-3, t_end=4e-3, n_traj=5, seed=8), _S0),
+    # the setup of test_divergence_budget_enforced: escaped columns parked
+    "divergence_budget": (SystemParams(0.06, 0.24, 105.0, 1.0, 0.5, 0.5),
+                          dict(dt=1e-2, t_end=5.0, n_traj=200, seed=3,
+                               strict=False), FieldState.vacuum()),
+}
+
+
+@pytest.mark.parametrize("case", list(_STEP_CASES))
+def test_stacked_step_matches_row_by_row_equations_bit_for_bit(case):
     # The ensemble steps both phase-space halves as one stacked array.  The
     # same equations applied row by row on (3, n) arrays, with the same
     # Philox blocks, must give the same bits: a swapped row, a misplaced
-    # noise or an unconjugated pump would move every sampled moment.
-    p = SystemParams(5e-3, 2e-2, 80.0 + 30.0j, 1.0, 0.5, 0.5)
-    s0 = FieldState(alpha=[0.3 + 0.1j, 2.0 - 1.0j, 0.5j],
-                    alpha_plus=[0.25 - 0.05j, -1.0 + 0.3j, 0.2])
-    dt, n_steps, n, seed = 1e-3, 4, 5, 8
-    m = run_ensemble(p, dt=dt, t_end=n_steps * dt, n_traj=n, seed=seed,
-                     initial=s0)
-    rng = make_rng(seed)
+    # noise, an unconjugated pump or a reordered operation would move the
+    # sampled moments.  Bytes are compared, so a sign of zero counts too.
+    p, kw, s0 = _STEP_CASES[case]
+    dt, n = kw["dt"], kw["n_traj"]
+    n_steps = stochastic.step_count(dt, kw["t_end"])
+    m = run_ensemble(p, initial=s0, **kw)
+    rng = make_rng(kw["seed"])
     a = np.tile(s0.alpha[:, None], (1, n))
     b = np.tile(s0.alpha_plus[:, None], (1, n))
+    alive = np.ones(n, dtype=bool)
+    sample_steps = (n_steps // 2, 3 * n_steps // 4, n_steps)
     samples = []
-    for step in range(1, n_steps + 1):
-        (va1, va2), (vb1, vb2) = noise_variances(a, p), noise_variances(b, p)
-        kicks = [np.sqrt(v) * (np.sqrt(dt) * w) for v, w in
-                 zip((va1, vb1, va2, vb2), rng.standard_normal((4, n)))]
-        for row, drift in zip((*a, *b), doubled_drift(a, b, p)):
-            row += drift * dt
-        for row, kick in zip((a[0], b[0], a[1], b[1]), kicks):
-            row += kick
-        if step in (2, 3, 4):  # half, three quarters and the end of the run
-            v = np.empty((6, n), dtype=complex)
-            v[0::2], v[1::2] = a, b
-            samples.append(v)
-    v = np.array(samples)
-    np.testing.assert_array_equal(m.t_grid, [2 * dt, 3 * dt, 4 * dt])
-    np.testing.assert_array_equal(m.means, v.mean(axis=-1))
-    np.testing.assert_array_equal(
-        m.second_doubled, (v[:, :, None] * v[:, None, :]).mean(axis=-1))
-    assert m.divergent == 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for step in range(1, n_steps + 1):
+            (va1, va2), (vb1, vb2) = (noise_variances(a, p),
+                                      noise_variances(b, p))
+            kicks = [np.sqrt(v) * (np.sqrt(dt) * w) for v, w in
+                     zip((va1, vb1, va2, vb2), rng.standard_normal((4, n)))]
+            for row, drift in zip((*a, *b), doubled_drift(a, b, p)):
+                row += drift * dt
+            for row, kick in zip((a[0], b[0], a[1], b[1]), kicks):
+                row += kick
+            if step % 200 == 0 or step in sample_steps:
+                ok = np.abs(np.vstack((a, b))).max(axis=0) <= 1e6
+                newly_dead = alive & ~ok
+                alive &= ok
+                a[:, newly_dead] = b[:, newly_dead] = 0
+            if step in sample_steps:
+                v = np.empty((6, n), dtype=complex)
+                v[0::2], v[1::2] = a, b
+                samples.append(v.compress(alive, axis=1))
+    assert m.t_grid.tobytes() == np.multiply(sample_steps, dt).tobytes()
+    assert m.means.tobytes() == np.array(
+        [v.mean(axis=-1) for v in samples]).tobytes()
+    assert m.second_doubled.tobytes() == np.array(
+        [(v[:, None] * v[None, :]).mean(axis=-1) for v in samples]).tobytes()
+    assert m.divergent == n - alive.sum()
+    assert m.divergent == (31 if case == "divergence_budget" else 0)
 
 
 def test_single_trajectory_reproduces_ensemble_stream(regime1):
