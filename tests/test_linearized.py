@@ -327,6 +327,7 @@ def test_default_grid_needs_no_exact_conditioning(regime, request, cond_calls):
        phase=st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)))
 @example(regime=1, frac=0.9995, phase=0.0)
 @example(regime=2, frac=0.9995, phase=0.0)
+@example(regime=2, frac=0.0622967006854159, phase=1.0)
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_scalar_bound_covers_every_frequency(regime, frac, phase, cond_calls):
@@ -339,9 +340,13 @@ def test_scalar_bound_covers_every_frequency(regime, frac, phase, cond_calls):
     dd = DriftDiffusion.from_steady_state(p, require_steady_state(p).state)
     lam, V = np.linalg.eig(_quad_pair(dd)[0])
     assume(np.linalg.cond(V) <= _MODAL_COND_MAX)    # else two solves are used
-    bound = 1 + np.abs(lam[:, None] - lam).max() / lam.real.min()
+    spread = np.abs(lam[:, None] - lam).max()
     dist = np.abs(lam + 1j * default_omega_grid()[:, None])
-    assert np.all(dist.max(axis=1) <= bound * dist.min(axis=1))
+    # The bound's two steps, max <= min + spread and min >= min Re l_j.  The
+    # first is an equality at omega = 0 when the largest and smallest
+    # eigenvalues are real; checked as one product it can miss by an ulp.
+    assert np.all(dist.max(axis=1) - dist.min(axis=1) <= spread)
+    assert np.all(dist.min(axis=1) >= lam.real.min())
     cond_calls.clear()
     spectrum_grid(p, dd)
     assert cond_calls == []
