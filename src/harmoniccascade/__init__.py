@@ -30,7 +30,6 @@ from .linearized import (
     build_diffusion,
     build_drift,
     default_omega_grid,
-    intracavity_spectrum,
     lyapunov_covariance,
     spectrum_grid,
 )
@@ -39,11 +38,7 @@ from .correlations import (
     DegenerateVariance,
     GridSummary,
     evaluate_grid,
-    obr_inferred,
-    obr_product,
     summarize_grid,
-    vlf_pair,
-    vlf_triple,
 )
 from .stochastic import (
     EnsembleMoments,
@@ -69,11 +64,9 @@ __all__ = [
     "NoThresholdInRange", "require_steady_state", "algebraic_steady_state",
     "pulsing_threshold",
     "DriftDiffusion", "SpectrumResult", "build_drift", "build_diffusion",
-    "intracavity_spectrum", "spectrum_grid", "lyapunov_covariance",
-    "default_omega_grid",
+    "spectrum_grid", "lyapunov_covariance", "default_omega_grid",
     "CorrelationReport", "GridSummary", "DegenerateVariance",
     "evaluate_grid", "summarize_grid",
-    "vlf_pair", "vlf_triple", "obr_inferred", "obr_product",
     "EnsembleMoments", "ExcessiveDivergence", "make_rng", "run_ensemble",
     "REGIME_PRESETS", "__version__",
 ]

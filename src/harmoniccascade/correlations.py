@@ -21,11 +21,10 @@ Y_j + Y_k.
 Each family's formula is written once.  It reads the matrix entries it
 needs in one gather, through a fixed index table that holds the (row,
 column) of every entry for every permutation of the family's *_ORDER.
-evaluate_grid evaluates each family over all three permutations at once;
-vlf_pair, vlf_triple and obr_inferred are the one-permutation case of the
-same helpers, so the grid report equals the per-permutation values bit for
-bit.  The triples and the OBR products read the same entries: V_ijk is
-symmetric in j and k, and each family pairs every mode i with the other two.
+evaluate_grid evaluates each family over all three permutations at once,
+and a table of one permutation gives that permutation's values bit for bit.
+The triples and the OBR products read the same entries: V_ijk is symmetric
+in j and k, and each family pairs every mode i with the other two.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QuadCovariance
-
 __all__ = [
     "CorrelationReport",
     "GridSummary",
@@ -43,10 +40,6 @@ __all__ = [
     "PAIR_ORDER",
     "TRIPLE_ORDER",
     "OBR_ORDER",
-    "vlf_pair",
-    "vlf_triple",
-    "obr_inferred",
-    "obr_product",
     "evaluate_grid",
     "summarize_grid",
 ]
@@ -61,12 +54,6 @@ _DEGENERATE_TOL = 1e-12
 
 class DegenerateVariance(ValueError):
     """A variance needed as a denominator is numerically zero."""
-
-
-def _check_perm(i: int, j: int, k: int) -> None:
-    if sorted((i, j, k)) != [1, 2, 3]:
-        raise ValueError(f"(i, j, k) must be a permutation of (1, 2, 3), "
-                         f"got ({i}, {j}, {k})")
 
 
 def _modes(perms):
@@ -114,9 +101,10 @@ def _require_variance(den, message) -> None:
 
 
 def _pair_values(V, table, gain=None):
-    """V_ij and the gain on mode k for each permutation of table; V is the
-    transpose of a covariance or stack (module docstring), read in one
-    gather."""
+    """V_ij = V(X_i - X_j) + V(Y_i + Y_j + g_k Y_k) and the gain g_k for each
+    permutation of table; V is the transpose of a covariance or stack (module
+    docstring), read in one gather.  With no gain given, g_k = -[V(Y_k, Y_i)
+    + V(Y_k, Y_j)] / V(Y_k) minimizes the Y term exactly."""
     xii, xjj, xij, yii, yjj, yij, ykk, yki, ykj = V[table[0], table[1]]
     vx = xii + xjj - 2.0 * xij
     if gain is None:
@@ -143,54 +131,12 @@ def _triple_values(vii, den, cov):
 
 
 def _inferred_values(vii, den, cov, table):
-    """Inferred X and Y variances of mode i given the sum of modes j and k."""
+    """Inferred X and Y variances of mode i given the sum of modes j and k,
+    V(Q_i) - V(Q_i, Q_j + Q_k)^2 / V(Q_j + Q_k): never above V(Q_i)."""
     _require_variance(den, lambda p, v: (
         f"combined variance {v:.3e} for modes ({_mode(table[0, 1, 0, p])},"
         f"{_mode(table[0, 2, 0, p])}); cannot infer"))
     return vii - cov * cov / den
-
-
-def vlf_pair(S: QuadCovariance, i: int, j: int, k: int,
-             gain: float | None = None) -> tuple[float, float]:
-    """Pairwise correlation V_ij = V(X_i - X_j) + V(Y_i + Y_j + g_k Y_k).
-
-    Separable states satisfy V_ij >= 4.  The default gain minimizes the Y
-    term exactly, g_k = -[V(Y_k, Y_i) + V(Y_k, Y_j)] / V(Y_k); pass an
-    explicit gain to evaluate off-optimum.  Returns (V_ij, gain used).
-    """
-    _check_perm(i, j, k)
-    v, used = _pair_values(S.matrix.T, _pair_table([(i, j, k)]), gain)
-    return v[0], used[0] if gain is None else gain
-
-
-def vlf_triple(S: QuadCovariance, i: int, j: int, k: int) -> float:
-    """Triple correlation with fixed weights; separable states give >= 4.
-
-    V_ijk = V(X_i - (X_j + X_k)/sqrt 2) + V(Y_i + (Y_j + Y_k)/sqrt 2);
-    symmetric under j <-> k, no free gains.
-    """
-    _check_perm(i, j, k)
-    return _triple_values(*_trio_terms(S.matrix.T, _trio_table([(i, j, k)])))[0]
-
-
-def obr_inferred(S: QuadCovariance, i: int, j: int,
-                 k: int) -> tuple[float, float]:
-    """Inferred variances of mode i given the joint sum of modes j and k.
-
-    V_inf(X_i) = V(X_i) - V(X_i, X_j + X_k)^2 / V(X_j + X_k) and likewise
-    for Y: the variance left after the optimal linear estimate from the sum
-    quadrature.  Never exceeds the unconditional variance.
-    """
-    _check_perm(i, j, k)
-    table = _trio_table([(i, j, k)])
-    vx, vy = _inferred_values(*_trio_terms(S.matrix.T, table), table)
-    return vx[0], vy[0]
-
-
-def obr_product(S: QuadCovariance, i: int, j: int, k: int) -> float:
-    """obr_ijk = V_inf(X_i) V_inf(Y_i); below 1 means (j, k) steer mode i."""
-    vx, vy = obr_inferred(S, i, j, k)
-    return vx * vy
 
 
 @dataclass(frozen=True)

@@ -36,16 +36,13 @@ close the state is to threshold.  An imaginary part in
 A_q or D_q above tolerance means the state is not classical and raises
 NonHermitianResidue before any spectrum is formed.
 
-One private kernel serves spectrum_grid and intracavity_spectrum.  It
-returns the 21 upper-triangle entries (the diagonal first) of scale * M at
-each frequency; the scale multiplies the kept residues, so the mirror
-couplings sqrt(gamma_p gamma_q) cost one (k, 21) product per call.
-spectrum_grid adds the vacuum floor to the 6 diagonal entries and scatters
-the 21 into each exactly symmetric 6x6 matrix once; intracavity_spectrum
-scales by ones.
-
 spectrum_grid is the one entry point for output spectra: it evaluates a
 frequency grid as one (n, 6, 6) stack and returns them as one SpectrumResult.
+Its private kernel returns the 21 upper-triangle entries (the diagonal
+first) of scale * M at each frequency; the scale multiplies the kept
+residues, so the mirror couplings sqrt(gamma_p gamma_q) cost one (k, 21)
+product per call.  spectrum_grid adds the vacuum floor to the 6 diagonal
+entries and scatters the 21 into each exactly symmetric 6x6 matrix once.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ __all__ = [
     "SpectrumResult",
     "build_drift",
     "build_diffusion",
-    "intracavity_spectrum",
     "spectrum_grid",
     "lyapunov_covariance",
     "default_omega_grid",
@@ -81,7 +77,6 @@ _UPPER = tuple(np.concatenate(rows_or_cols) for rows_or_cols
                in zip(np.diag_indices(6), np.triu_indices(6, 1)))
 _SYM = np.zeros((6, 6), dtype=int)
 _SYM[_UPPER] = _SYM.T[_UPPER] = np.arange(21)
-_ONES = np.ones(21)
 
 # Largest imaginary part allowed in the quadrature drift and diffusion.
 _IMAG_TOL = 1e-10
@@ -167,11 +162,21 @@ def _pole_residues(lam, V, D, poles) -> np.ndarray:
 
 
 def _entries(A, D, wf, scale) -> np.ndarray:
-    """Upper triangles (n, 21) of scale * M at the frequencies wf.
+    """Upper triangles (n, 21) of scale * M at the frequencies wf, for the
+    real quadrature pair A and D (module docstring).
 
-    Warns, and picks the route, as intracavity_spectrum documents.  The
-    modal route multiplies the kept residues by scale; the fallback scales
-    the entries of (S + S^T).real after its solves.
+    The modal route sums the poles of one eigendecomposition and multiplies
+    the kept residues by scale.  When cond(V) exceeds _MODAL_COND_MAX (A
+    close to defective) or an eigenvalue of A has no positive real part,
+    two solves per frequency give S instead, and the entries of the real
+    part of S + S^T (for real A and D, S^T = conj(S)) are scaled after them.
+
+    One RuntimeWarning names the worst-conditioned frequency when any
+    resolvent has a condition number above 1e12 or a non-finite one.  As
+    cond(A + i omega) <= cond(V)^2 max_j|l_j + i omega| / min_j|l_j + i omega|
+    <= cond(V)^2 (1 + max_jk|l_j - l_k| / min_j Re l_j) for every omega,
+    exact condition numbers are computed, one per frequency, only on the
+    fallback, when twice that bound reaches 1e12 or for a non-finite omega.
     """
     lam, V = np.linalg.eig(A)
     sv = np.linalg.svd(V, compute_uv=False)
@@ -202,33 +207,6 @@ def _entries(A, D, wf, scale) -> np.ndarray:
     # (n, 2k) GEMM would not); the weights are read as interleaved floats
     RI = np.concatenate([R.real, -R.imag], axis=1).reshape(-1, 21)
     return (weight.view(float)[:, None, :] @ RI)[:, 0]
-
-
-def intracavity_spectrum(A: np.ndarray, D: np.ndarray,
-                         omega: float | np.ndarray) -> np.ndarray:
-    """M = S + S^T, S = (A + i omega)^-1 D (A^T - i omega)^-1, as six poles.
-
-    A and D are the real quadrature pair (A_q, D_q); complex input raises
-    TypeError.  A scalar omega gives one exactly symmetric float64 6x6
-    matrix, n frequencies an (n, 6, 6) stack, from one eigendecomposition
-    (module docstring).  When cond(V) exceeds _MODAL_COND_MAX (A close to
-    defective) or an eigenvalue of A has no positive real part, two solves
-    per frequency give S instead, and M is the real part of S + S^T (for
-    real A and D, S^T = conj(S)).
-
-    One RuntimeWarning names the worst-conditioned frequency when any
-    resolvent has a condition number above 1e12 or a non-finite one.  As
-    cond(A + i omega) <= cond(V)^2 max_j|l_j + i omega| / min_j|l_j + i omega|
-    <= cond(V)^2 (1 + max_jk|l_j - l_k| / min_j Re l_j) for every omega,
-    exact condition numbers are computed, one per frequency, only on the
-    fallback, when twice that bound reaches 1e12 or for a non-finite omega.
-    """
-    if np.iscomplexobj(A) or np.iscomplexobj(D):
-        raise TypeError("intracavity_spectrum takes the real quadrature "
-                        "drift and diffusion")
-    w = np.asarray(omega, dtype=float)
-    M = _entries(A, D, w.reshape(-1), _ONES)[:, _SYM]
-    return M.reshape(w.shape + (6, 6))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ class NonPositiveRate(ValueError):
 
 
 class NonHermitianResidue(ValueError):
-    """A matrix expected to be real symmetric has excess imaginary part."""
+    """A matrix expected to be real symmetric is not: an imaginary part
+    above tolerance, or any asymmetry in a QuadCovariance."""
 
 
 def quad_index_x(mode: int) -> int:
@@ -178,28 +179,23 @@ class QuadCovariance:
     matrix is the 6x6 real symmetric array of output quadrature variances
     and covariances in the basis (X1, Y1, X2, Y2, X3, Y3), normalized so the
     vacuum value is 1 on the diagonal.  omega is in units of gamma1.  A stack
-    holds an (n, 6, 6) matrix with an array of n frequencies; the symmetry
-    check and the symmetrization act on the last two axes.
+    holds an (n, 6, 6) matrix with an array of n frequencies.  A matrix that
+    is not exactly symmetric in its last two axes raises NonHermitianResidue;
+    an exactly symmetric one is kept as is.
     """
 
     omega: float | np.ndarray
     matrix: np.ndarray
-    _SYM_TOL = 1e-10
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim > 3 or m.shape != np.shape(self.omega) + (6, 6):
             raise ValueError(f"matrix must be 6x6, or (n, 6, 6) for n "
                              f"frequencies; got {m.shape}")
-        if np.array_equal(m, m.mT):    # exact symmetry: kept as is
-            sym = m
-        else:
-            asym = np.abs(m - m.mT).max()
-            if asym > self._SYM_TOL:
-                raise NonHermitianResidue(
-                    f"asymmetry {asym:.3e} exceeds tolerance")
-            sym = 0.5 * (m + m.mT)
-        object.__setattr__(self, "matrix", _frozen(sym))
+        if not np.array_equal(m, m.mT):
+            raise NonHermitianResidue(f"matrix is not exactly symmetric: "
+                                      f"asymmetry {np.abs(m - m.mT).max():.3e}")
+        object.__setattr__(self, "matrix", _frozen(m))
 
     def variance(self, label: str, mode: int) -> float | np.ndarray:
         """V(X_mode) for label 'X', V(Y_mode) for label 'Y'; over omega

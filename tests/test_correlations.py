@@ -12,15 +12,14 @@ from harmoniccascade import (
     QuadCovariance,
     SpectrumResult,
     evaluate_grid,
-    obr_inferred,
-    obr_product,
     spectrum_grid,
     summarize_grid,
-    vlf_pair,
-    vlf_triple,
 )
 from harmoniccascade.correlations import (OBR_ORDER, PAIR_ORDER,
-                                          TRIPLE_ORDER, _report)
+                                          TRIPLE_ORDER, _inferred_values,
+                                          _pair_table, _pair_values, _report,
+                                          _trio_table, _trio_terms,
+                                          _triple_values)
 
 # Grid minima on the default 801-point grid, frozen from cross-checked runs
 # (the spectra route agrees with an independent input-output computation to
@@ -61,40 +60,55 @@ def _diag_cov(variances):
     return QuadCovariance(omega=0.0, matrix=np.diag(np.asarray(variances, float)))
 
 
-def test_permutation_guard():
-    S = _diag_cov(np.ones(6))
-    with pytest.raises(ValueError):
-        vlf_pair(S, 1, 1, 2)
-    with pytest.raises(ValueError):
-        vlf_triple(S, 0, 1, 2)
-    with pytest.raises(ValueError):
-        obr_product(S, 2, 2, 3)
+# One permutation (i, j, k) through the kernels evaluate_grid runs over
+# three: a one-permutation index table, any order of the modes.
+def one_pair(S, i, j, k, gain=None):
+    """V_ij and the gain on mode k (the given gain, if any)."""
+    v, used = _pair_values(S.matrix.T, _pair_table([(i, j, k)]), gain)
+    return v[0], used[0] if gain is None else gain
+
+
+def one_triple(S, i, j, k):
+    table = _trio_table([(i, j, k)])
+    return _triple_values(*_trio_terms(S.matrix.T, table))[0]
+
+
+def one_inferred(S, i, j, k):
+    """Inferred X and Y variances of mode i given modes j and k."""
+    table = _trio_table([(i, j, k)])
+    vx, vy = _inferred_values(*_trio_terms(S.matrix.T, table), table)
+    return vx[0], vy[0]
+
+
+def one_obr(S, i, j, k):
+    vx, vy = one_inferred(S, i, j, k)
+    return vx * vy
 
 
 def test_vacuum_values_exact():
     S = _diag_cov(np.ones(6))
     for i, j in PAIR_ORDER:
         k = ({1, 2, 3} - {i, j}).pop()
-        v, g = vlf_pair(S, i, j, k)
+        v, g = one_pair(S, i, j, k)
         assert v == 4.0 and g == 0.0
     for i, j, k in TRIPLE_ORDER:
-        assert vlf_triple(S, i, j, k) == 4.0
+        assert one_triple(S, i, j, k) == 4.0
     for i, j, k in OBR_ORDER:
-        assert obr_product(S, i, j, k) == 1.0
-        assert obr_inferred(S, i, j, k) == (1.0, 1.0)
+        assert one_obr(S, i, j, k) == 1.0
+        assert one_inferred(S, i, j, k) == (1.0, 1.0)
 
 
 def test_pair_symmetric_in_first_two_modes(spectra1):
     S = spectra1[400].s_quad
-    v_ij, g_ij = vlf_pair(S, 1, 2, 3)
-    v_ji, g_ji = vlf_pair(S, 2, 1, 3)
+    v_ij, g_ij = one_pair(S, 1, 2, 3)
+    v_ji, g_ji = one_pair(S, 2, 1, 3)
     assert v_ij == pytest.approx(v_ji, rel=1e-14)
     assert g_ij == pytest.approx(g_ji, rel=1e-14)
 
 
 def test_triple_symmetric_in_last_two_modes(spectra1):
     S = spectra1[400].s_quad
-    assert vlf_triple(S, 1, 2, 3) == pytest.approx(vlf_triple(S, 1, 3, 2),
+    assert one_triple(S, 1, 2, 3) == pytest.approx(one_triple(S, 1, 3, 2),
                                                    rel=1e-14)
 
 
@@ -102,16 +116,16 @@ def test_optimal_gain_is_a_minimum(spectra2):
     S = spectra2[400].s_quad
     for i, j in PAIR_ORDER:
         k = ({1, 2, 3} - {i, j}).pop()
-        v_opt, g = vlf_pair(S, i, j, k)
+        v_opt, g = one_pair(S, i, j, k)
         for dg in (-1e-3, 1e-3):
-            v_off, _ = vlf_pair(S, i, j, k, gain=g + dg)
+            v_off, _ = one_pair(S, i, j, k, gain=g + dg)
             assert v_off >= v_opt - 1e-12
 
 
 def test_gain_closed_form(spectra2):
     S = spectra2[400].s_quad
     V = S.matrix
-    _, g = vlf_pair(S, 1, 2, 3)
+    _, g = one_pair(S, 1, 2, 3)
     assert g == pytest.approx(-(V[5, 1] + V[5, 3]) / V[5, 5], rel=1e-12)
 
 
@@ -119,7 +133,7 @@ def test_inferred_variance_never_exceeds_unconditional(spectra2):
     for s in spectra2[::100]:
         V = s.s_quad.matrix
         for i, j, k in OBR_ORDER:
-            vx, vy = obr_inferred(s.s_quad, i, j, k)
+            vx, vy = one_inferred(s.s_quad, i, j, k)
             assert vx <= V[2 * (i - 1), 2 * (i - 1)] + 1e-14
             assert vy <= V[2 * i - 1, 2 * i - 1] + 1e-14
             assert vx >= -1e-14 and vy >= -1e-14
@@ -129,16 +143,16 @@ def test_degenerate_variance_raises():
     v = np.ones(6)
     v[5] = 0.0     # Y_3 collapses
     with pytest.raises(DegenerateVariance):
-        vlf_pair(_diag_cov(v), 1, 2, 3)
+        one_pair(_diag_cov(v), 1, 2, 3)
     v = np.ones(6)
     v[2] = v[4] = 0.0    # X_2 + X_3 sum variance collapses
     with pytest.raises(DegenerateVariance):
-        obr_inferred(_diag_cov(v), 1, 2, 3)
+        one_inferred(_diag_cov(v), 1, 2, 3)
     # one degenerate frequency in a stack is enough
     stack = QuadCovariance(omega=np.array([0.0, 1.0]),
                            matrix=np.stack([np.eye(6), np.diag(v)]))
     with pytest.raises(DegenerateVariance):
-        obr_inferred(stack, 1, 2, 3)
+        one_inferred(stack, 1, 2, 3)
 
 
 @given(st.lists(st.floats(min_value=1.0, max_value=10.0), min_size=3, max_size=3))
@@ -149,13 +163,13 @@ def test_uncorrelated_states_violate_nothing(vs):
     S = _diag_cov(diag)
     for i, j in PAIR_ORDER:
         k = ({1, 2, 3} - {i, j}).pop()
-        v, g = vlf_pair(S, i, j, k)
+        v, g = one_pair(S, i, j, k)
         assert g == 0.0
         assert v >= 4.0 - 1e-12
     for i, j, k in TRIPLE_ORDER:
-        assert vlf_triple(S, i, j, k) >= 4.0 - 1e-12
+        assert one_triple(S, i, j, k) >= 4.0 - 1e-12
     for i, j, k in OBR_ORDER:
-        assert obr_product(S, i, j, k) >= 1.0 - 1e-12
+        assert one_obr(S, i, j, k) >= 1.0 - 1e-12
 
 
 def test_report_collects_all_families(spectra1):
@@ -258,30 +272,30 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("regime", [1, 2])
 def test_grid_report_equals_per_permutation_values(regime, request):
     # evaluate_grid takes every permutation of a family at once; each value
-    # and gain must be the per-permutation function's, bit for bit.
+    # and gain must be that of a one-permutation table, bit for bit.
     S = request.getfixturevalue(f"spectra{regime}").s_quad
     report = request.getfixturevalue(f"reports{regime}")
     for i, j in PAIR_ORDER:
-        v, g = vlf_pair(S, i, j, 6 - i - j)
+        v, g = one_pair(S, i, j, 6 - i - j)
         assert _same_bits(report.v_pair[i, j], v)
         assert _same_bits(report.gains[i, j], g)
     for t in TRIPLE_ORDER:
-        assert _same_bits(report.v_triple[t], vlf_triple(S, *t))
+        assert _same_bits(report.v_triple[t], one_triple(S, *t))
     for t in OBR_ORDER:
-        assert _same_bits(report.obr[t], obr_product(S, *t))
+        assert _same_bits(report.obr[t], one_obr(S, *t))
 
 
 @pytest.mark.parametrize("entries,call", [
     # V(Y_1) collapses: the gain of the third pair, (2, 3), fails first
-    ({(1, 1): 5e-13}, lambda S: vlf_pair(S, 2, 3, 1)),
+    ({(1, 1): 5e-13}, lambda S: one_pair(S, 2, 3, 1)),
     # X_1 + X_3 collapses: obr_213, the second permutation, fails first
-    ({(0, 0): 3e-13, (4, 4): 4e-13}, lambda S: obr_inferred(S, 2, 1, 3)),
+    ({(0, 0): 3e-13, (4, 4): 4e-13}, lambda S: one_inferred(S, 2, 1, 3)),
     # Y_1 + Y_2 collapses, no single variance does: the Y half of obr_312
-    ({(1, 3): -(2.0 - 5e-14)}, lambda S: obr_inferred(S, 3, 1, 2)),
+    ({(1, 3): -(2.0 - 5e-14)}, lambda S: one_inferred(S, 3, 1, 2)),
 ])
 def test_grid_raise_names_the_per_permutation_failure(entries, call):
     # One degenerate frequency in a stack: evaluate_grid raises with the
-    # mode and value the per-permutation function names.
+    # mode and value a one-permutation table names.
     m = 2.0 * np.eye(6)
     for (a, b), value in entries.items():
         m[a, b] = m[b, a] = value

@@ -18,14 +18,13 @@ from harmoniccascade import (
     build_diffusion,
     build_drift,
     default_omega_grid,
-    intracavity_spectrum,
     lyapunov_covariance,
     require_steady_state,
     spectrum_grid,
 )
 from harmoniccascade.model import quad_index_x, quad_index_y
 from harmoniccascade.linearized import (_MODAL_COND_MAX, _QUAD_INV, _QUAD_MAP,
-                                        _SYM, _pole_residues)
+                                        _SYM, _entries, _pole_residues)
 
 # Frozen eigenvalue sets at the preset operating points (sorted by real
 # part, then imaginary part).
@@ -118,11 +117,23 @@ def test_stability_eigenvalues_frozen(regime, request):
     assert ev.real.min() > 0
 
 
-def test_instability_above_threshold():
+def test_instability_above_threshold(cond_calls):
+    # Above threshold a drift eigenvalue has a negative real part.  A
+    # DriftDiffusion built there, at a state require_steady_state refuses,
+    # reaches spectrum_grid's two-solve route: the residues are not formed,
+    # each frequency gets an exact condition number, and none warns.
     p = replace(REGIME_PRESETS[1], epsilon=260.0)
     ss = algebraic_steady_state(p)
     dd = DriftDiffusion.from_steady_state(p, ss)
     assert np.linalg.eigvals(dd.a_matrix).real.min() < 0
+    w = default_omega_grid()
+    cond_calls.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = spectrum_grid(p, dd, w).s_quad.matrix
+    assert cond_calls == [len(w)]
+    ref = _output_by_two_solves(p, dd, w)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.fixture
@@ -144,6 +155,13 @@ def _quad_pair(dd):
     """The real quadrature drift and diffusion (A_q, D_q) of dd."""
     return ((_QUAD_MAP @ dd.a_matrix @ _QUAD_INV).real,
             (_QUAD_MAP @ dd.d_matrix @ _QUAD_MAP.T).real)
+
+
+def _intracavity(A, D, w):
+    """M = S + S^T at each frequency of w (a scalar is one) for a real pair
+    (A, D): the kernel of spectrum_grid, unscaled and with no vacuum."""
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    return _entries(A, D, w, np.ones(21))[:, _SYM]
 
 
 def _two_solves(A, D, w):
@@ -176,7 +194,7 @@ def test_intracavity_spectrum_matches_direct_inverse(regime, frac, phase, omegas
     dd = DriftDiffusion.from_steady_state(p, require_steady_state(p).state)
     A, D = _quad_pair(dd)
     w = np.concatenate([-np.array(omegas), omegas])
-    M = intracavity_spectrum(A, D, w)
+    M = _intracavity(A, D, w)
     S = _two_solves(A, D, w)
     ref = S + S.mT
     err = np.abs(M - ref).max(axis=(1, 2))
@@ -244,7 +262,7 @@ def test_near_defective_drift_takes_two_solves(cond_calls):
     D = np.diag([1.0, -2.0, 3.0, 0.5, 0.0, 0.0])
     D[0, 2] = D[2, 0] = 0.3
     w = np.array([0.0, 0.7, -3.0])
-    M = intracavity_spectrum(A, D, w)
+    M = _intracavity(A, D, w)
     assert M.dtype == np.float64
     _assert_matches_inverses(A, D, w, M)
     # the fallback checks the condition number at every frequency
@@ -261,7 +279,7 @@ def test_real_eigenvalues_take_the_modal_route(cond_calls):
     assert not np.iscomplexobj(lam) and not np.iscomplexobj(V)
     assert np.linalg.cond(V) <= _MODAL_COND_MAX
     w = np.array([0.0, 0.7, -3.0, 20.0])
-    M = intracavity_spectrum(A, D, w)
+    M = _intracavity(A, D, w)
     assert M.dtype == np.float64 and cond_calls == []
     _assert_matches_inverses(A, D, w, M)
 
@@ -282,7 +300,7 @@ def test_resolvent_warning_sees_non_normal_drift(cond_calls):
     assert k == 1 and np.flatnonzero(cond > 1e12).tolist() == [1, 3]
     cond_calls.clear()
     with pytest.warns(RuntimeWarning) as record:
-        intracavity_spectrum(A, D, w)
+        _intracavity(A, D, w)
     assert len(record) == 1
     assert str(record[0].message) == (
         f"ill-conditioned resolvent at omega={w[k]}: cond={cond[k]:.3e}")
@@ -297,7 +315,7 @@ def test_singular_or_non_finite_input_raises():
     A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     D = np.eye(6)
     with pytest.raises(np.linalg.LinAlgError):
-        intracavity_spectrum(A, D, np.array([0.0, np.nan, 1.0]))
+        _intracavity(A, D, np.array([0.0, np.nan, 1.0]))
     # an exactly singular resolvent warns, then raises as a solve would: a
     # real rotation block has eigenvalues +-i, so A + i omega is singular at
     # omega = +-1
@@ -306,13 +324,13 @@ def test_singular_or_non_finite_input_raises():
     cond = np.linalg.cond(A + 1j * w[:, None, None] * np.eye(6))
     with pytest.warns(RuntimeWarning) as record:
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            intracavity_spectrum(A, D, w)
+            _intracavity(A, D, w)
     assert cond.min() > 1e15
     assert [str(r.message) for r in record] == [
         f"ill-conditioned resolvent at omega=-1.0: cond={cond[0]:.3e}"]
     A[0, 0] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
-        intracavity_spectrum(A, D, 0.0)
+        _intracavity(A, D, 0.0)
 
 
 @pytest.mark.parametrize("regime", [1, 2])
@@ -368,9 +386,7 @@ def test_folded_poles_real_symmetric_and_pointwise(regime, phase):
     for k, wk in enumerate(w):
         np.testing.assert_array_equal(spectrum_grid(p, dd, wk).s_quad.matrix,
                                       out[k])
-    assert intracavity_spectrum(*_quad_pair(dd), w).dtype == np.float64
-    with pytest.raises(TypeError):    # the doubled basis is complex
-        intracavity_spectrum(dd.a_matrix, dd.d_matrix, w)
+    assert _intracavity(*_quad_pair(dd), w).dtype == np.float64
 
 
 def test_eigenvalue_on_imaginary_axis_takes_two_solves():
@@ -384,7 +400,7 @@ def test_eigenvalue_on_imaginary_axis_takes_two_solves():
     w = np.array([0.0, 2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        M = intracavity_spectrum(A, D, w)
+        M = _intracavity(A, D, w)
     S = _two_solves(A, D, w)
     ref = (S + S.mT).real
     assert np.isfinite(M).all()
@@ -395,10 +411,10 @@ def test_ill_conditioned_resolvent_warns():
     A = np.diag([1e-13, 1.0, 1.0, 1.0, 1.0, 1.0])
     D = np.eye(6)
     with pytest.warns(RuntimeWarning, match="ill-conditioned"):
-        intracavity_spectrum(A, D, 0.0)
+        _intracavity(A, D, 0.0)
     # a grid warns once, naming its worst frequency
     with pytest.warns(RuntimeWarning) as record:
-        intracavity_spectrum(A, D, np.array([-1.0, 0.0, 2.0]))
+        _intracavity(A, D, np.array([-1.0, 0.0, 2.0]))
     assert len(record) == 1
     assert "omega=0.0:" in str(record[0].message)
 
@@ -515,7 +531,7 @@ def test_spectrum_integral_recovers_lyapunov(regime, frac, phase):
     A, D = _quad_pair(dd)
     C = lyapunov_covariance(A, D)
     omega, weight = _whole_line_rule()
-    M = intracavity_spectrum(A, D, omega)
+    M = _intracavity(A, D, omega)
     integral = np.tensordot(weight, M, axes=1) / (2 * np.pi)
     assert np.abs(integral - (C + C.T)).max() <= 1e-9 * np.abs(C).max()
 

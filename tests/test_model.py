@@ -116,22 +116,21 @@ def test_public_names_resolve():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
-def test_quad_covariance_symmetrizes_small_residue():
-    m = np.eye(6)
-    m[0, 1] = 1e-12     # below tolerance: averaged away
-    c = QuadCovariance(omega=0.0, matrix=m)
-    assert c.matrix[0, 1] == c.matrix[1, 0]
-
-
 def test_quad_covariance_rejects_asymmetry():
-    m = np.eye(6)
-    m[0, 1] = 1e-6
-    with pytest.raises(NonHermitianResidue):
-        QuadCovariance(omega=0.0, matrix=m)
-    # in a stack, one asymmetric matrix is enough
-    with pytest.raises(NonHermitianResidue):
-        QuadCovariance(omega=np.zeros(3),
-                       matrix=np.stack([np.eye(6), m, np.eye(6)]))
+    # Every asymmetry is refused, down to one ulp: nothing is averaged away.
+    for upper, lower in ((1e-6, 0.0), (1e-12, 0.0),
+                         (np.nextafter(0.3, 1.0), 0.3)):
+        m = np.eye(6)
+        m[0, 1], m[1, 0] = upper, lower
+        with pytest.raises(NonHermitianResidue, match="not exactly symmetric"):
+            QuadCovariance(omega=0.0, matrix=m)
+        # in a stack, one asymmetric matrix is enough
+        with pytest.raises(NonHermitianResidue):
+            QuadCovariance(omega=np.zeros(3),
+                           matrix=np.stack([np.eye(6), m, np.eye(6)]))
+        m[1, 0] = upper    # exactly symmetric: kept as is
+        assert QuadCovariance(omega=0.0, matrix=m).matrix.tobytes() == (
+            m.tobytes())
 
 
 def test_quad_covariance_rejects_wrong_shape():

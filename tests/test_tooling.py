@@ -2,7 +2,9 @@
 
 The benchmark and the tools run outside the test suite, so deleting or
 renaming a name only they use would otherwise surface as a failed benchmark
-run.  The test reads the scripts' source and runs none of them.
+run.  The test reads the scripts' source and runs none of them.  The other
+way round, every name the package exports must be read by code outside the
+tests: a public name only tests call is a second way into a result.
 """
 
 import ast
@@ -10,6 +12,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import harmoniccascade
 from harmoniccascade import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,3 +77,22 @@ def test_attributes_read_off_cli_exist():
     missing = [f"{path.relative_to(ROOT)}: cli.{name}"
                for path, name in read if not hasattr(cli, name)]
     assert not missing, "no such name: " + "; ".join(missing)
+
+
+def _names_read(tree: ast.AST):
+    # what an ast.Name or an ast.Attribute reads
+    for node in ast.walk(tree):
+        if isinstance(getattr(node, "ctx", None), ast.Load):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+
+def test_every_package_export_has_a_non_test_reader():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src", "demos", "tools", "perfbench")
+             for path in (ROOT / folder).rglob("*.py")]
+    read = {name for tree in trees for name in _names_read(tree)}
+    unread = [name for name in harmoniccascade.__all__ if name not in read]
+    assert not unread, "exported but read only by tests: " + ", ".join(unread)
