@@ -27,7 +27,6 @@ from .semiclassical import (
 from .linearized import (
     DriftDiffusion,
     SpectrumResult,
-    build_diffusion,
     build_drift,
     default_omega_grid,
     lyapunov_covariance,
@@ -63,7 +62,7 @@ __all__ = [
     "SteadyStateResult", "ThresholdResult", "NotStationary",
     "NoThresholdInRange", "require_steady_state", "algebraic_steady_state",
     "pulsing_threshold",
-    "DriftDiffusion", "SpectrumResult", "build_drift", "build_diffusion",
+    "DriftDiffusion", "SpectrumResult", "build_drift",
     "spectrum_grid", "lyapunov_covariance", "default_omega_grid",
     "CorrelationReport", "GridSummary", "DegenerateVariance",
     "evaluate_grid", "summarize_grid",

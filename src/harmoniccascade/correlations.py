@@ -7,8 +7,8 @@ every matrix (all are symmetric), so they give arrays over omega for a stack.
 Three families are evaluated:
 
   * pairwise correlations V_ij with an optimized gain on the third mode
-    (threshold 4; Teh-Reid sharpenings: sum < 8 entangled, sum < 4 genuine
-    steering),
+    (threshold 4, two of the three below it for full inseparability;
+    Teh-Reid sharpenings: sum < 8 entangled, sum < 4 genuine steering),
   * triple correlations V_ijk with fixed 1/sqrt(2) weights (threshold 4;
     below 2 genuine entanglement, below 1 genuine steering),
   * obr_ijk, the product of the inferred X and Y variances of mode i given
@@ -144,9 +144,10 @@ class CorrelationReport:
     """Every criterion evaluated on one covariance or on a stack of them.
 
     v_pair and gains are keyed by the pair (i, j); v_triple and obr by the
-    full index triple.  The flags restate the numeric thresholds and are
-    pure functions of the values.  From a stack of covariances each value
-    and flag is an array over omega, and len() counts the frequencies.
+    full index triple.  It holds values only; the thresholds they are read
+    against are stated in the module docstring.  From a stack of
+    covariances each value is an array over omega, and len() counts the
+    frequencies.
     """
 
     omega: float | np.ndarray
@@ -156,16 +157,6 @@ class CorrelationReport:
     obr: dict[tuple[int, int, int], float]
     sum_v_pair: float
     sum_obr: float
-    inseparable_pairwise: bool       # >= 2 of the V_ij below 4
-    inseparable_triple: bool         # >= 1 of the V_ijk below 4
-    tr_entangled_pairwise: bool      # sum of V_ij below 8
-    tr_genuine_steer_pairwise: bool  # sum of V_ij below 4
-    genuine_entangled_triple: bool   # any V_ijk below 2
-    genuine_steer_triple: bool       # any V_ijk below 1
-    steer_1_by_23: bool
-    steer_2_by_13: bool
-    steer_3_by_12: bool
-    genuine_tri_steer: bool          # sum of obr below 1
 
     def __len__(self) -> int:
         return int(np.size(self.omega))
@@ -173,31 +164,19 @@ class CorrelationReport:
 
 def _report(omega, pair, gains, triple, obr) -> CorrelationReport:
     """The report from each family's values stacked in its *_ORDER."""
-    sum_pair = pair[0] + pair[1] + pair[2]
-    sum_obr = obr[0] + obr[1] + obr[2]
-    steer = obr < 1.0
     return CorrelationReport(
         omega=omega,
         v_pair=dict(zip(PAIR_ORDER, pair)), gains=dict(zip(PAIR_ORDER, gains)),
         v_triple=dict(zip(TRIPLE_ORDER, triple)), obr=dict(zip(OBR_ORDER, obr)),
-        sum_v_pair=sum_pair, sum_obr=sum_obr,
-        inseparable_pairwise=(pair < 4.0).sum(axis=0) >= 2,
-        inseparable_triple=(triple < 4.0).any(axis=0),
-        tr_entangled_pairwise=sum_pair < 8.0,
-        tr_genuine_steer_pairwise=sum_pair < 4.0,
-        genuine_entangled_triple=(triple < 2.0).any(axis=0),
-        genuine_steer_triple=(triple < 1.0).any(axis=0),
-        steer_1_by_23=steer[0],
-        steer_2_by_13=steer[1],
-        steer_3_by_12=steer[2],
-        genuine_tri_steer=sum_obr < 1.0,
+        sum_v_pair=pair[0] + pair[1] + pair[2],
+        sum_obr=obr[0] + obr[1] + obr[2],
     )
 
 
 def evaluate_grid(spectra) -> CorrelationReport:
-    """Compute all correlations from a SpectrumResult's output spectra and
-    set every threshold flag: arrays over a grid, scalars at one frequency.
-    Each family is evaluated over its three permutations at once."""
+    """Compute all correlations from a SpectrumResult's output spectra:
+    arrays over a grid, scalars at one frequency.  Each family is evaluated
+    over its three permutations at once."""
     S = spectra.s_quad
     pair, gains = _pair_values(S.matrix.T, _PAIR_TABLE)
     trio = _trio_terms(S.matrix.T, _TRIO_TABLE)

@@ -59,7 +59,6 @@ __all__ = [
     "DriftDiffusion",
     "SpectrumResult",
     "build_drift",
-    "build_diffusion",
     "spectrum_grid",
     "lyapunov_covariance",
     "default_omega_grid",
@@ -125,19 +124,15 @@ def build_drift(p: SystemParams, ss: FieldState) -> np.ndarray:
     ], dtype=complex)
 
 
-def build_diffusion(p: SystemParams, ss: FieldState) -> np.ndarray:
-    """Diffusion matrix D: diagonal, rows 5 and 6 zero.
-
-    Entries are the squared noise coefficients of the stochastic equations;
-    negative diagonal entries are legitimate in the doubled phase space.
-    """
-    a, b = noise_variances(ss.alpha, p), noise_variances(ss.alpha_plus, p)
-    return np.diag(np.array([a[0], b[0], a[1], b[1], 0, 0], dtype=complex))
-
-
 @dataclass(frozen=True)
 class DriftDiffusion:
-    """Drift and diffusion matrices at one steady state."""
+    """Drift and diffusion matrices at one steady state.
+
+    a_matrix is build_drift's A.  d_matrix is the diffusion matrix D:
+    diagonal, rows 5 and 6 zero.  Its entries are the squared noise
+    coefficients of the stochastic equations; negative diagonal entries are
+    legitimate in the doubled phase space.
+    """
 
     a_matrix: np.ndarray
     d_matrix: np.ndarray
@@ -145,7 +140,8 @@ class DriftDiffusion:
     @classmethod
     def from_steady_state(cls, p: SystemParams, ss: FieldState) -> "DriftDiffusion":
         A = build_drift(p, ss)
-        D = build_diffusion(p, ss)
+        a, b = noise_variances(ss.alpha, p), noise_variances(ss.alpha_plus, p)
+        D = np.diag(np.array([a[0], b[0], a[1], b[1], 0, 0], dtype=complex))
         A.setflags(write=False)
         D.setflags(write=False)
         return cls(a_matrix=A, d_matrix=D)

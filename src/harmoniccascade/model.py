@@ -26,8 +26,6 @@ __all__ = [
     "half_drift",
     "doubled_drift",
     "noise_variances",
-    "quad_index_x",
-    "quad_index_y",
 ]
 
 
@@ -38,20 +36,6 @@ class NonPositiveRate(ValueError):
 class NonHermitianResidue(ValueError):
     """A matrix expected to be real symmetric is not: an imaginary part
     above tolerance, or any asymmetry in a QuadCovariance."""
-
-
-def quad_index_x(mode: int) -> int:
-    """Row/column of X_mode in the 6x6 quadrature basis (X1,Y1,X2,Y2,X3,Y3)."""
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    return 2 * (mode - 1)
-
-
-def quad_index_y(mode: int) -> int:
-    """Row/column of Y_mode in the 6x6 quadrature basis."""
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    return 2 * (mode - 1) + 1
 
 
 @dataclass(frozen=True)
@@ -202,7 +186,9 @@ class QuadCovariance:
         for a stack."""
         if label not in ("X", "Y"):
             raise ValueError(f"label must be 'X' or 'Y', got {label!r}")
-        idx = quad_index_x(mode) if label == "X" else quad_index_y(mode)
+        if mode not in (1, 2, 3):
+            raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+        idx = 2 * (mode - 1) + (label == "Y")
         return self.matrix[..., idx, idx]
 
     def uncertainty_products(self) -> np.ndarray:

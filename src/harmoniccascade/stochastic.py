@@ -232,9 +232,9 @@ class EnsembleMoments:
     def reliable(self) -> bool:
         return self.divergent <= _DIVERGENCE_BUDGET * self.n_traj
 
-    def number_moment(self, i: int, j: int, t_index: int = -1) -> complex:
-        """<alpha_i+ alpha_j> at a sample time (modes 1-based)."""
-        return complex(self.second_doubled[t_index, 2 * (i - 1) + 1, 2 * (j - 1)])
+    def number_moment(self, i: int, j: int) -> complex:
+        """<alpha_i+ alpha_j> at the last sample time (modes 1-based)."""
+        return complex(self.second_doubled[-1, 2 * (i - 1) + 1, 2 * (j - 1)])
 
 
 def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,

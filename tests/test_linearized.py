@@ -15,14 +15,12 @@ from harmoniccascade import (
     NonHermitianResidue,
     QuadCovariance,
     algebraic_steady_state,
-    build_diffusion,
     build_drift,
     default_omega_grid,
     lyapunov_covariance,
     require_steady_state,
     spectrum_grid,
 )
-from harmoniccascade.model import quad_index_x, quad_index_y
 from harmoniccascade.linearized import (_MODAL_COND_MAX, _QUAD_INV, _QUAD_MAP,
                                         _SYM, _entries, _pole_residues)
 
@@ -95,7 +93,7 @@ def test_drift_jacobian_holds_off_manifold():
 def test_diffusion_structure(regime, request):
     p = REGIME_PRESETS[regime]
     ss = request.getfixturevalue(f"ss{regime}").state
-    D = build_diffusion(p, ss)
+    D = DriftDiffusion.from_steady_state(p, ss).d_matrix
     assert np.abs(D - np.diag(np.diag(D))).max() == 0
     assert D[0, 0] == p.kappa1 * ss.alpha[1]
     assert D[2, 2] == p.kappa2 * ss.alpha[2]
@@ -431,8 +429,7 @@ def test_spectra_symmetric_in_omega(regime, request):
 @pytest.mark.parametrize("regime", [1, 2])
 def test_xy_cross_blocks_vanish_for_real_pump(regime, request):
     spectra = request.getfixturevalue(f"spectra{regime}")
-    xi = [quad_index_x(m) for m in (1, 2, 3)]
-    yi = [quad_index_y(m) for m in (1, 2, 3)]
+    xi, yi = [0, 2, 4], [1, 3, 5]    # X1, X2, X3 and Y1, Y2, Y3
     worst = max(np.abs(s.s_quad.matrix[np.ix_(xi, yi)]).max() for s in spectra)
     assert worst < 1e-10
 

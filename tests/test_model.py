@@ -14,16 +14,19 @@ from harmoniccascade import (
     validate_params,
 )
 from harmoniccascade.linearized import _QUAD_MAP
-from harmoniccascade.model import quad_index_x, quad_index_y
 
 
 def test_quad_indices_interleave():
-    assert [quad_index_x(m) for m in (1, 2, 3)] == [0, 2, 4]
-    assert [quad_index_y(m) for m in (1, 2, 3)] == [1, 3, 5]
-    with pytest.raises(ValueError):
-        quad_index_x(0)
-    with pytest.raises(ValueError):
-        quad_index_y(4)
+    # basis (X1, Y1, X2, Y2, X3, Y3): a diagonal of distinct values shows
+    # which row variance reads for each label and mode
+    q = QuadCovariance(omega=0.0, matrix=np.diag(np.arange(6.0)))
+    assert [q.variance("X", m) for m in (1, 2, 3)] == [0, 2, 4]
+    assert [q.variance("Y", m) for m in (1, 2, 3)] == [1, 3, 5]
+    for label, mode in (("X", 0), ("Y", 4)):
+        with pytest.raises(ValueError, match="mode must be 1, 2 or 3"):
+            q.variance(label, mode)
+    with pytest.raises(ValueError, match="label"):
+        q.variance("Z", 1)
 
 
 def test_validate_params_accepts_reference_regime():

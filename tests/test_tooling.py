@@ -3,11 +3,14 @@
 The benchmark and the tools run outside the test suite, so deleting or
 renaming a name only they use would otherwise surface as a failed benchmark
 run.  The test reads the scripts' source and runs none of them.  The other
-way round, every name the package exports must be read by code outside the
-tests: a public name only tests call is a second way into a result.
+way round, every name the package exports, and every field of a result
+type it exports, must be read by code outside the tests: a public name only
+tests call is a second way into a result, and a field only tests read is a
+value nothing reports.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -89,10 +92,28 @@ def _names_read(tree: ast.AST):
                 yield node.attr
 
 
+def _non_test_trees():
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for folder in ("src", "demos", "tools", "perfbench")
+            for path in (ROOT / folder).rglob("*.py")]
+
+
 def test_every_package_export_has_a_non_test_reader():
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for folder in ("src", "demos", "tools", "perfbench")
-             for path in (ROOT / folder).rglob("*.py")]
-    read = {name for tree in trees for name in _names_read(tree)}
+    read = {name for tree in _non_test_trees() for name in _names_read(tree)}
     unread = [name for name in harmoniccascade.__all__ if name not in read]
     assert not unread, "exported but read only by tests: " + ", ".join(unread)
+
+
+def test_every_result_field_has_a_non_test_reader():
+    # a string constant counts too: perfbench reads GridSummary's fields
+    # through getattr
+    trees = _non_test_trees()
+    read = {name for tree in trees for name in _names_read(tree)}
+    read |= {node.value for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    fields = [(name, field.name) for name in harmoniccascade.__all__
+              if dataclasses.is_dataclass(obj := getattr(harmoniccascade, name))
+              for field in dataclasses.fields(obj)]
+    assert fields
+    unread = [f"{name}.{field}" for name, field in fields if field not in read]
+    assert not unread, "field read only by tests: " + ", ".join(unread)
