@@ -16,18 +16,22 @@ FieldState.doubled(): the alpha_plus equations are the alpha equations with
 the halves swapped and the pump conjugated, so the step does each operation
 of model.doubled_drift and noise_variances as one ufunc call over both halves
 into arrays made once per run, with their per-element arithmetic bit for
-bit (test_stacked_step_matches_row_by_row_equations_bit_for_bit).
+bit (test_stacked_step_matches_row_by_row_equations_bit_for_bit).  Outputs
+are passed positionally, the noise arrives scaled by sqrt(dt), and below
+_PIPELINE_MIN_TRAJ trajectories the constant operands are held at their
+partners' full shape; wider ensembles broadcast them.
 
 Reproducibility contract: the generator is counter-based (Philox keyed by
 the seed) and the run consumes one (4, n_traj) block of standard normals per
 time step, rows ordered as the noises on (alpha_1, alpha_1_plus, alpha_2,
 alpha_2_plus).  Identical seed and settings give bit-identical results.
 Blocks are drawn _CHUNK_STEPS steps per generator call, which yields the
-same stream as one call per step.  Ensembles of at least _PIPELINE_MIN_TRAJ
-trajectories, on a host with two or more usable cores, draw the next chunk
-on one worker thread while the main thread integrates the current one.
-Only that thread calls the generator, with the same calls in the same order
-as the serial path, so the stream and every result are unchanged.
+same stream as one call per step, and scaled once per chunk.  Ensembles of
+at least _PIPELINE_MIN_TRAJ trajectories, on a host with two or more usable
+cores, draw the next chunk on one worker thread while the main thread
+integrates the current one.  Only that thread calls the generator, with the
+same calls in the same order as the serial path, so the stream and every
+result are unchanged.
 """
 
 from __future__ import annotations
@@ -53,17 +57,18 @@ __all__ = [
 _AMPLITUDE_CAP = 1e6
 # Fraction of divergent trajectories above which results are unreliable.
 _DIVERGENCE_BUDGET = 0.01
-# Ensemble width from which the noise is drawn on a worker thread.  Handing a
-# chunk to and from the thread costs about the same at any width, while the
-# draw it hides grows with the width (Philox fills the chunk without the GIL,
-# and a wide step's ufuncs release it too).  In-process medians of 10
-# alternating runs per width and pass with the in-place step, regime 1 from
-# the steady state, 2-core shared host, pipelined against serial in raw us per
-# step over two passes: 73 and 68 vs 67 and 66 at 300, 162 and 99 vs 149 and
-# 97 at 500, 299 and 276 vs 289 and 275 at 1000; one pass, 359 vs 366 at 1500
-# and 573 vs 577 at 2000 trajectories.  Below 1000 the thread lost in the
-# median of every pass; from 1000 to 2000 neither path won 9 of 10 pairs in
-# every pass.
+# Ensemble width that makes two choices.  From it on, the noise is drawn on a
+# worker thread (with two or more usable cores), hiding a draw that grows with
+# the width at a hand-off cost that does not, and the step's constant operands
+# stay broadcast vectors.  Below it the noise is drawn serially and the
+# operands are held at full shape, which saves numpy's broadcast dispatch but
+# moves more memory.  Paired in-process medians of 10 alternating runs, regime
+# 1 from the steady state, 2-core shared host, two passes.  Full shape against
+# broadcast, serial draws: 1.23x and 1.17x at 300, 1.00x and 0.91x at 1000,
+# 0.95x and 0.88x at 3000, 0.88x and 0.89x at 10^4 trajectories.  Serial draws
+# at full shape against the thread at broadcast: 1.12x and 1.13x at 1000,
+# 1.09x and 1.08x at 2000, 1.00x and 1.02x at 2500, 1.06x and 0.94x at 3000;
+# so the two paths cross near 2500, not here.  At 300 the thread lost too.
 _PIPELINE_MIN_TRAJ = 1000
 # Steps of noise drawn by one generator call, as one (m, 4, n_traj) array.
 # The generator keeps no state between calls but its Philox counter, so a
@@ -110,22 +115,25 @@ def _usable_cores() -> int:
 
 
 @contextmanager
-def _noise_blocks(rng: np.random.Generator, n_traj: int, n_steps: int):
-    """The run's n_steps (4, n_traj) standard-normal blocks, in stream order.
+def _noise_blocks(rng: np.random.Generator, n_traj: int, n_steps: int,
+                  dt: float):
+    """The run's n_steps (4, n_traj) blocks of sqrt(dt)-scaled normals.
 
     They are drawn _CHUNK_STEPS steps per generator call into reused
-    buffers, so a block is valid only until the next one is taken.  Wide
-    ensembles on a multi-core host fill one buffer on a worker thread while
-    the caller works through the other; the thread is joined on exit, also
-    when the caller raises.
+    buffers and scaled once per chunk, so a block is valid only until the
+    next one is taken.  Wide ensembles on a multi-core host fill and scale
+    one buffer on a worker thread while the caller works through the other;
+    the thread is joined on exit, also when the caller raises.
     """
     sizes = [min(_CHUNK_STEPS, n_steps - start)
              for start in range(0, n_steps, _CHUNK_STEPS)]
     pipelined = n_traj >= _PIPELINE_MIN_TRAJ and _usable_cores() >= 2
     buffers = np.empty((2 if pipelined else 1, _CHUNK_STEPS, 4, n_traj))
+    sqrt_dt = np.sqrt(dt)
 
     def fill(c: int) -> np.ndarray:
-        return rng.standard_normal(out=buffers[c % len(buffers), :sizes[c]])
+        chunk = rng.standard_normal(out=buffers[c % len(buffers), :sizes[c]])
+        return np.multiply(chunk, sqrt_dt, chunk)
 
     if not pipelined:
         yield (block for c in range(len(sizes)) for block in fill(c))
@@ -145,35 +153,41 @@ def _noise_blocks(rng: np.random.Generator, n_traj: int, n_steps: int):
 
 def _euler_step(s: np.ndarray, p: SystemParams, dt: float):
     """The in-place Euler-Maruyama update of the (3, 2, n) state s, as a
-    function of one (4, n) noise block, which it scales in place; a step
-    allocates nothing.  The noise coefficients use the pre-step state (Ito
-    reading, which the equations' form makes equivalent to Stratonovich for
-    these moments)."""
+    function of one (4, n) noise block already scaled by sqrt(dt); a step
+    allocates nothing and passes every output positionally.  The noise
+    coefficients use the pre-step state (Ito reading, which the equations'
+    form makes equivalent to Stratonovich for these moments).  Below
+    _PIPELINE_MIN_TRAJ trajectories the rates, couplings and pumps are held
+    at their partners' full shape; wider ensembles broadcast them."""
     x12, x23, y12 = s[:2], s[1:], s[:2, ::-1]
+    drift = np.empty_like(s)
+    pair = np.empty_like(x23)
+    d0, d01, d12 = drift[0], drift[:2], drift[1:]
     rates = np.array([p.gamma1, -p.gamma2, -p.gamma3], complex)[:, None, None]
     kappa = np.array([p.kappa1, p.kappa2], complex)[:, None, None]
     half_kappa = 0.5 * kappa
     e = np.array([[p.epsilon], [np.conj(p.epsilon)]], dtype=complex)
-    sqrt_dt = np.sqrt(dt)
-    drift = np.empty_like(s)
-    pair = np.empty_like(x23)
+    if s.shape[-1] < _PIPELINE_MIN_TRAJ:
+        rates, kappa, half_kappa, e = (
+            np.broadcast_to(v, like.shape).copy() for v, like in
+            ((rates, s), (kappa, pair), (half_kappa, pair), (e, d0)))
+    dt = np.array(dt, complex)
 
     def step(noise: np.ndarray) -> None:
-        np.multiply(rates, s, out=drift)
-        np.subtract(e, drift[0], out=drift[0])
-        np.multiply(kappa, y12, out=pair)        # k1 y1 x2, k2 y2 x3
-        np.multiply(pair, x23, out=pair)
-        np.add(drift[:2], pair, out=drift[:2])
-        np.multiply(half_kappa, x12, out=pair)   # 0.5 k1 x1 x1, 0.5 k2 x2 x2
-        np.multiply(pair, x12, out=pair)
-        np.subtract(drift[1:], pair, out=drift[1:])
-        np.multiply(kappa, x23, out=pair)        # the noise variances
-        np.sqrt(pair, out=pair)
-        np.multiply(sqrt_dt, noise, out=noise)
-        np.multiply(pair, noise.reshape(2, 2, -1), out=pair)
-        np.multiply(drift, dt, out=drift)
-        np.add(s, drift, out=s)
-        np.add(x12, pair, out=x12)
+        np.multiply(rates, s, drift)
+        np.subtract(e, d0, d0)
+        np.multiply(kappa, y12, pair)        # k1 y1 x2, k2 y2 x3
+        np.multiply(pair, x23, pair)
+        np.add(d01, pair, d01)
+        np.multiply(half_kappa, x12, pair)   # 0.5 k1 x1 x1, 0.5 k2 x2 x2
+        np.multiply(pair, x12, pair)
+        np.subtract(d12, pair, d12)
+        np.multiply(kappa, x23, pair)        # the noise variances
+        np.sqrt(pair, pair)
+        np.multiply(pair, noise.reshape(2, 2, -1), pair)
+        np.multiply(drift, dt, drift)
+        np.add(s, drift, s)
+        np.add(x12, pair, x12)
 
     return step
 
@@ -267,7 +281,7 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
 
     samples = []
     with (np.errstate(invalid="ignore", over="ignore"),
-          _noise_blocks(rng, n_traj, n_steps) as blocks):
+          _noise_blocks(rng, n_traj, n_steps, dt) as blocks):
         for step, noise in enumerate(blocks, start=1):
             step_once(noise)
             sampled = step in sample_steps

@@ -103,6 +103,10 @@ def test_step_escape_in_plus_half_alone_raises(regime1):
         run_ensemble(regime1, dt=1e-3, t_end=1e-3, n_traj=1, initial=s)
 
 
+_MOMENT_FIELDS = ("t_grid", "means", "means_stderr", "second_doubled",
+                  "second_doubled_stderr", "fluct_cov", "fluct_cov_stderr")
+
+
 _S0 = FieldState(alpha=[0.3 + 0.1j, 2.0 - 1.0j, 0.5j],
                  alpha_plus=[0.25 - 0.05j, -1.0 + 0.3j, 0.2])
 
@@ -121,6 +125,11 @@ _STEP_CASES = {
     "divergence_budget": (SystemParams(0.06, 0.24, 105.0, 1.0, 0.5, 0.5),
                           dict(dt=1e-2, t_end=5.0, n_traj=200, seed=3,
                                strict=False), FieldState.vacuum()),
+    # broadcast operands, and pipelined noise on a multi-core host; every
+    # case above holds the operands at full shape
+    "wide_layout": (replace(REGIME_PRESETS[2], epsilon=60.0 - 85.0j),
+                    dict(dt=1e-3, t_end=12e-3,
+                         n_traj=stochastic._PIPELINE_MIN_TRAJ, seed=5), _S0),
 }
 
 
@@ -130,7 +139,8 @@ def test_stacked_step_matches_row_by_row_equations_bit_for_bit(case):
     # same equations applied row by row on (3, n) arrays, with the same
     # Philox blocks, must give the same bits: a swapped row, a misplaced
     # noise, an unconjugated pump or a reordered operation would move the
-    # sampled moments.  Bytes are compared, so a sign of zero counts too.
+    # sampled moments.  Bytes are compared, so a sign of zero counts too;
+    # every field stochastic.csv writes is compared.
     p, kw, s0 = _STEP_CASES[case]
     dt, n = kw["dt"], kw["n_traj"]
     n_steps = stochastic.step_count(dt, kw["t_end"])
@@ -165,6 +175,9 @@ def test_stacked_step_matches_row_by_row_equations_bit_for_bit(case):
         [v.mean(axis=-1) for v in samples]).tobytes()
     assert m.second_doubled.tobytes() == np.array(
         [(v[:, None] * v[None, :]).mean(axis=-1) for v in samples]).tobytes()
+    ref = zip(*map(stochastic._moments, samples))
+    for name, values in zip(_MOMENT_FIELDS[1:], ref, strict=True):
+        assert getattr(m, name).tobytes() == np.array(values).tobytes(), name
     assert m.divergent == n - alive.sum()
     assert m.divergent == (31 if case == "divergence_budget" else 0)
 
@@ -261,7 +274,9 @@ def noise_path(monkeypatch):
     """Select how run_ensemble draws its noise; returns the run's draw log.
 
     Pipelined runs set the width constant to one trajectory and report two
-    usable cores, so a single-core host takes that path too.
+    usable cores, so a single-core host takes that path too.  The constant
+    also sets the step's operand layout, so pipelined runs broadcast the
+    operands and serial runs hold them at full shape.
     """
     def select(pipelined: bool) -> _DrawLog:
         log = _DrawLog(None)
@@ -277,10 +292,6 @@ def noise_path(monkeypatch):
         return log
 
     return select
-
-
-_MOMENT_FIELDS = ("t_grid", "means", "means_stderr", "second_doubled",
-                  "second_doubled_stderr", "fluct_cov", "fluct_cov_stderr")
 
 
 @pytest.mark.parametrize("case", ["mid_run_samples", "divergence_budget"])
@@ -313,15 +324,19 @@ def test_serial_and_pipelined_noise_agree_bit_for_bit(case, regime1,
 @pytest.mark.parametrize("n_steps", [1, 8, 21])
 def test_noise_chunks_give_one_block_per_step_stream(pipelined, n_steps,
                                                      noise_path):
-    # Drawing several steps per generator call must return exactly the
-    # blocks of one (4, n_traj) call per step, also for a short last chunk.
+    # Drawing and scaling several steps per generator call must return
+    # exactly the scaled blocks of one (4, n_traj) call per step, the
+    # expression of the row-by-row reference, also for a short last chunk.
     noise_path(pipelined)
-    with stochastic._noise_blocks(make_rng(21), 5, n_steps) as blocks:
+    dt = 2e-3
+    with stochastic._noise_blocks(make_rng(21), 5, n_steps, dt) as blocks:
         got = [block.copy() for block in blocks]
     ref = make_rng(21)
     assert len(got) == n_steps
     for block in got:
-        np.testing.assert_array_equal(block, ref.standard_normal((4, 5)))
+        want = np.sqrt(dt) * ref.standard_normal((4, 5))
+        assert block.shape == want.shape
+        assert block.tobytes() == want.tobytes()
 
 
 def test_noise_worker_does_not_outlive_run(noise_path):
