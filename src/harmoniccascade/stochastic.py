@@ -21,16 +21,16 @@ are passed positionally, the noise arrives scaled by sqrt(dt), and below
 _PIPELINE_MIN_TRAJ trajectories the constant operands are held at their
 partners' full shape; wider ensembles broadcast them.
 
-Reproducibility contract: the generator is counter-based (Philox keyed by
-the seed) and the run consumes one (4, n_traj) block of standard normals per
-time step, rows ordered as the noises on (alpha_1, alpha_1_plus, alpha_2,
-alpha_2_plus).  Identical seed and settings give bit-identical results.
-Blocks are drawn _CHUNK_STEPS steps per generator call, which yields the
-same stream as one call per step, and scaled once per chunk.  Ensembles of
-at least _PIPELINE_MIN_TRAJ trajectories, on a host with two or more usable
-cores, draw the next chunk on one worker thread while the main thread
-integrates the current one.  Only that thread calls the generator, with the
-same calls in the same order as the serial path, so the stream and every
+Reproducibility contract, kept by _noise_chunks: the generator is
+counter-based (Philox keyed by the seed) and the run consumes one (4, n_traj)
+block of standard normals per time step, rows ordered as the noises on
+(alpha_1, alpha_1_plus, alpha_2, alpha_2_plus).  Identical seed and settings
+give bit-identical results.  Blocks are drawn _CHUNK_STEPS steps per
+generator call, which yields the same stream as one call per step.
+Ensembles of at least _PIPELINE_MIN_TRAJ trajectories, on a host with two or
+more usable cores, take each chunk on one worker thread (_ahead) while the
+main thread integrates the one before.  That changes which thread makes the
+generator calls, not the calls or their order, so the stream and every
 result are unchanged.
 """
 
@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -58,18 +59,13 @@ _AMPLITUDE_CAP = 1e6
 # Fraction of divergent trajectories above which results are unreliable.
 _DIVERGENCE_BUDGET = 0.01
 # Ensemble width that makes two choices.  From it on, the noise is drawn on a
-# worker thread (with two or more usable cores), hiding a draw that grows with
-# the width at a hand-off cost that does not, and the step's constant operands
-# stay broadcast vectors.  Below it the noise is drawn serially and the
-# operands are held at full shape, which saves numpy's broadcast dispatch but
-# moves more memory.  Paired in-process medians of 10 alternating runs, regime
-# 1 from the steady state, 2-core shared host, two passes.  Full shape against
-# broadcast, serial draws: 1.23x and 1.17x at 300, 1.00x and 0.91x at 1000,
-# 0.95x and 0.88x at 3000, 0.88x and 0.89x at 10^4 trajectories.  Serial draws
-# at full shape against the thread at broadcast: 1.12x and 1.13x at 1000,
-# 1.09x and 1.08x at 2000, 1.00x and 1.02x at 2500, 1.06x and 0.94x at 3000;
-# so the two paths cross near 2500, not here.  At 300 the thread lost too.
-_PIPELINE_MIN_TRAJ = 1000
+# worker thread (with two or more usable cores) and the step's constant
+# operands stay broadcast vectors; below it the noise is drawn serially and
+# the operands are held at full shape.  Regime 1 from the steady state, 400
+# steps, 2-core shared host, paired medians of 10 alternating runs: serial
+# draws at full shape beat the thread at broadcast 1.12x at 1000 and 1.13x
+# at 2000 trajectories, and tied at 2500 (1.00x and 1.02x in two passes).
+_PIPELINE_MIN_TRAJ = 2500
 # Steps of noise drawn by one generator call, as one (m, 4, n_traj) array.
 # The generator keeps no state between calls but its Philox counter, so a
 # chunk holds exactly the blocks that m calls of (4, n_traj) would return.
@@ -114,41 +110,34 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-@contextmanager
-def _noise_blocks(rng: np.random.Generator, n_traj: int, n_steps: int,
-                  dt: float):
-    """The run's n_steps (4, n_traj) blocks of sqrt(dt)-scaled normals.
-
-    They are drawn _CHUNK_STEPS steps per generator call into reused
-    buffers and scaled once per chunk, so a block is valid only until the
-    next one is taken.  Wide ensembles on a multi-core host fill and scale
-    one buffer on a worker thread while the caller works through the other;
-    the thread is joined on exit, also when the caller raises.
-    """
-    sizes = [min(_CHUNK_STEPS, n_steps - start)
-             for start in range(0, n_steps, _CHUNK_STEPS)]
-    pipelined = n_traj >= _PIPELINE_MIN_TRAJ and _usable_cores() >= 2
-    buffers = np.empty((2 if pipelined else 1, _CHUNK_STEPS, 4, n_traj))
+def _noise_chunks(rng: np.random.Generator, n_traj: int, n_steps: int,
+                  dt: float, n_buffers: int):
+    """The run's n_steps (4, n_traj) blocks of sqrt(dt)-scaled normals, as
+    (m, 4, n_traj) chunks of m <= _CHUNK_STEPS steps, each one generator
+    call into the next of n_buffers reused buffers, scaled in place and
+    valid until n_buffers more are taken.  The buffers are made by this call,
+    on the caller's thread; a worker would put them in its own malloc arena,
+    which added 5 MB to the 10^4-trajectory benchmark's peak RSS."""
+    buffers = np.empty((n_buffers, _CHUNK_STEPS, 4, n_traj))
     sqrt_dt = np.sqrt(dt)
 
     def fill(c: int) -> np.ndarray:
-        chunk = rng.standard_normal(out=buffers[c % len(buffers), :sizes[c]])
+        start = c * _CHUNK_STEPS
+        chunk = rng.standard_normal(
+            out=buffers[c % n_buffers, :min(_CHUNK_STEPS, n_steps - start)])
         return np.multiply(chunk, sqrt_dt, chunk)
 
-    if not pipelined:
-        yield (block for c in range(len(sizes)) for block in fill(c))
-        return
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        def ahead():
-            pending = worker.submit(fill, 0)
-            for c in range(len(sizes)):
-                chunk = pending.result()
-                if c + 1 < len(sizes):
-                    # into the buffer of chunk c - 1, which is used up
-                    pending = worker.submit(fill, c + 1)
-                yield from chunk
+    return map(fill, range(-(-n_steps // _CHUNK_STEPS)))
 
-        yield ahead()
+
+def _ahead(worker: ThreadPoolExecutor, items):
+    """Yield the items of the iterator items, each taken on worker while
+    the caller uses the one before; an exception from items is raised here."""
+    end = object()
+    pending = worker.submit(next, items, end)
+    while (item := pending.result()) is not end:
+        pending = worker.submit(next, items, end)
+        yield item
 
 
 def _euler_step(s: np.ndarray, p: SystemParams, dt: float):
@@ -232,7 +221,6 @@ class EnsembleMoments:
 
     n_traj: int
     dt: float
-    seed: int
     t_grid: np.ndarray
     means: np.ndarray
     means_stderr: np.ndarray
@@ -277,11 +265,15 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
     s = np.tile(initial.doubled().reshape(3, 2, 1), (1, 1, n_traj))
     step_once = _euler_step(s, p, dt)
     alive = np.ones(n_traj, dtype=bool)
-    rng = make_rng(seed)
+    pipelined = n_traj >= _PIPELINE_MIN_TRAJ and _usable_cores() >= 2
+    chunks = _noise_chunks(make_rng(seed), n_traj, n_steps, dt,
+                           2 if pipelined else 1)
 
     samples = []
     with (np.errstate(invalid="ignore", over="ignore"),
-          _noise_blocks(rng, n_traj, n_steps, dt) as blocks):
+          ThreadPoolExecutor(1) if pipelined else nullcontext() as worker):
+        blocks = chain.from_iterable(
+            _ahead(worker, chunks) if pipelined else chunks)
         for step, noise in enumerate(blocks, start=1):
             step_once(noise)
             sampled = step in sample_steps
@@ -301,7 +293,7 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
 
     divergent = int(n_traj - alive.sum())
     result = EnsembleMoments(
-        n_traj=n_traj, dt=dt, seed=seed, t_grid=t_grid,
+        n_traj=n_traj, dt=dt, t_grid=t_grid,
         means=means, means_stderr=means_se,
         second_doubled=m2, second_doubled_stderr=m2_se,
         fluct_cov=fcov, fluct_cov_stderr=fcov_se,

@@ -9,6 +9,7 @@ seed below is fixed, so the suite is deterministic despite the statistics.
 """
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -322,21 +323,44 @@ def test_serial_and_pipelined_noise_agree_bit_for_bit(case, regime1,
 
 @pytest.mark.parametrize("pipelined", [False, True])
 @pytest.mark.parametrize("n_steps", [1, 8, 21])
-def test_noise_chunks_give_one_block_per_step_stream(pipelined, n_steps,
-                                                     noise_path):
+def test_noise_chunks_give_one_block_per_step_stream(pipelined, n_steps):
     # Drawing and scaling several steps per generator call must return
     # exactly the scaled blocks of one (4, n_traj) call per step, the
-    # expression of the row-by-row reference, also for a short last chunk.
-    noise_path(pipelined)
+    # expression of the row-by-row reference, also for a short last chunk;
+    # taken ahead on a worker, the second buffer keeps each chunk intact.
     dt = 2e-3
-    with stochastic._noise_blocks(make_rng(21), 5, n_steps, dt) as blocks:
-        got = [block.copy() for block in blocks]
+    chunks = stochastic._noise_chunks(make_rng(21), 5, n_steps, dt,
+                                      2 if pipelined else 1)
+    with ThreadPoolExecutor(1) as worker:
+        got = [block.copy() for chunk in
+               (stochastic._ahead(worker, chunks) if pipelined else chunks)
+               for block in chunk]
     ref = make_rng(21)
     assert len(got) == n_steps
     for block in got:
         want = np.sqrt(dt) * ref.standard_normal((4, 5))
         assert block.shape == want.shape
         assert block.tobytes() == want.tobytes()
+
+
+def test_ahead_takes_items_in_order_on_the_worker():
+    takers = []
+
+    def items(n: int, then_raise: bool):
+        for i in range(n):
+            takers.append(threading.get_ident())
+            yield i
+        if then_raise:
+            raise RuntimeError("drawn past the end")
+
+    with ThreadPoolExecutor(1) as worker:
+        assert list(stochastic._ahead(worker, items(5, False))) == [*range(5)]
+        assert len(takers) == 5 and threading.get_ident() not in takers
+        got = []
+        with pytest.raises(RuntimeError, match="drawn past the end"):
+            got.extend(stochastic._ahead(worker, items(3, True)))
+        assert got == [0, 1, 2]
+        assert list(stochastic._ahead(worker, iter(()))) == []
 
 
 def test_noise_worker_does_not_outlive_run(noise_path):

@@ -2,13 +2,13 @@
 
 Runs ``perfbench/run.py`` for every workload in ``BENCHMARK.json`` at seed
 9001 for the benchmark's ``run_seconds``: ``--trace 0`` runs for the end-to-end
-metrics and ``--trace 1`` runs for the per-layer metrics, three per side (as
-many as the ``--trace 0`` pairs when a workload has fewer), whose medians are
-recorded.  Runs in the parent checkout (``--parent DIR``) and in this one
-alternate, the side that runs first swapping from pair to pair, and every
-``--trace 0`` pair is compared metric by metric.  Each run's result file is
-copied under ``.perfbench/bench-<pr>/`` and named in the record, next to its
-metrics, git SHA, ``nproc`` and calibration samples.
+metrics and ``--trace 1`` runs for the per-layer metrics, three pairs (as
+many as the ``--trace 0`` pairs when a workload has fewer).  Runs in the
+parent checkout (``--parent DIR``) and in this one alternate, the side that
+runs first swapping from pair to pair, and every pair of either kind is
+compared metric by metric.  Each run's result file is copied under
+``.perfbench/bench-<pr>/`` and named in the record, next to its metrics, git
+SHA, ``nproc`` and calibration samples.
 
     python3 tools/bench_record.py --pr N --parent ../parent \\
         --runs pump_sweep=10 --runs ensemble_flagship=3 --runs cli_modes=3
@@ -114,21 +114,22 @@ def describe(runs: list[dict]) -> dict:
 
 
 def compare(parent: list[dict], change: list[dict]) -> dict:
-    """Pairwise wins and the median shift of every end-to-end metric.
+    """Pairwise wins and the median shift of every metric both sides report.
 
     A gain may be claimed when the change wins at least 9 of 10 pairs (ties
     count for neither) and the medians differ by more than the parent's
-    interquartile range.  A regression is a median worse than the parent's
-    by more than the metric's bound in BENCHMARK.json.
+    interquartile range.  A regression is an end-to-end median worse than
+    the parent's by more than the metric's bound in BENCHMARK.json; per-layer
+    metrics have no bound.
     """
     out = {}
-    for name, bound in BOUND.items():
+    for name, better in BETTER.items():
         pairs = [(p["metrics"].get(name), c["metrics"].get(name))
                  for p, c in zip(parent, change)]
         pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
         if not pairs:
             continue
-        sign = 1 if BETTER[name] == "lower" else -1
+        sign = 1 if better == "lower" else -1
         wins = sum(sign * (c - p) < 0 for p, c in pairs)
         q1, med_p, q3 = quartiles([p for p, _ in pairs])
         med_c = quartiles([c for _, c in pairs])[1]
@@ -140,17 +141,12 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
             "ratio_parent_over_change": med_p / med_c if med_c else None,
             "gain_rule_met": (wins >= 0.9 * len(pairs)
                               and sign * (med_p - med_c) > q3 - q1),
-            "worse_by": worse_rel, "bound": bound,
-            "within_bound": worse_rel <= bound,
+            "worse_by": worse_rel,
         }
+        if name in BOUND:
+            out[name].update(bound=BOUND[name],
+                             within_bound=worse_rel <= BOUND[name])
     return out
-
-
-def layer_medians(parent: list[dict], change: list[dict]) -> dict:
-    """Median of every per-layer metric on both sides: [parent, change]."""
-    p, c = describe(parent), describe(change)
-    return {name: [p[name]["q1_median_q3"][1], c[name]["q1_median_q3"][1]]
-            for name in c if name in p}
 
 
 def main(argv=None) -> int:
@@ -191,8 +187,8 @@ def main(argv=None) -> int:
     report["comparison"] = {wl: {
         "end_to_end": compare(runs["parent"][wl]["trace0"],
                               runs["change"][wl]["trace0"]),
-        "per_layer_medians_parent_change": layer_medians(
-            runs["parent"][wl]["trace1"], runs["change"][wl]["trace1"]),
+        "per_layer": compare(runs["parent"][wl]["trace1"],
+                             runs["change"][wl]["trace1"]),
     } for wl in args.runs}
     out = ROOT / f"BENCH_{args.pr}.json"
     # one line per (nested) list of numbers: only whitespace changes
