@@ -4,7 +4,9 @@ The deterministic limit of the doubled-phase-space equations closes on the
 classical manifold alpha_plus = conj(alpha), leaving three complex ODEs.
 Their stationary equations reduce to one strictly increasing scalar equation,
 so every parameter set has exactly one stationary point, found in closed form
-up to one bracketed scalar root.  It counts as stationary only when every
+up to one bracketed scalar root: Brent's method with the iterates,
+tolerances and exceptions of scipy.optimize.brentq, ported so that numpy is
+the package's only runtime import.  It counts as stationary only when every
 eigenvalue of the drift matrix there has a positive real part; the same point
 plus eigenvalues tracks the branch past the instability.
 """
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .linearized import build_drift
 from .model import FieldState, SystemParams, doubled_drift, validate_params
@@ -35,6 +36,9 @@ __all__ = [
 _STATIONARY_TOL = 1e-12
 # Evenly spaced pumps of the threshold scan, ends included.
 _SCAN_POINTS = 33
+# scipy.optimize.brentq's default relative tolerance and iteration limit.
+_BRENT_RTOL = 4 * math.ulp(1.0)
+_BRENT_MAXITER = 100
 
 
 class NotStationary(RuntimeError):
@@ -75,6 +79,67 @@ def _residual_bound(state: FieldState, p: SystemParams) -> float:
                   p.kappa1 * a1 * max(a2, 0.5 * a1),
                   p.kappa2 * a2 * max(a3, 0.5 * a2))
     return max(_STATIONARY_TOL, 16 * math.ulp(largest))
+
+
+# A port of Brent's method from scipy/optimize/Zeros/brentq.c, the loop
+# behind scipy.optimize.brentq: the same float64 operations in the same
+# order, so the same iterates, root and exceptions.
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# SPDX-License-Identifier: BSD-3-Clause
+def _brentq(f, xa: float, xb: float, *, xtol: float) -> float:
+    """Root of f in [xa, xb], as scipy.optimize.brentq(f, xa, xb, xtol=xtol).
+
+    ValueError for a value of f that is NaN or a bracket whose ends have the
+    same sign, RuntimeError after _BRENT_MAXITER iterations.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre != fpre or fcur != fcur:
+        raise ValueError("a function value is NaN; solver cannot continue")
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 delta
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless a short step is tried and taken
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C's step is then inf or NaN, as f is nonzero at all three
+                # points, so it bisects.
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # good short step
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise ValueError("a function value is NaN; solver cannot continue")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} "
+                       f"iterations, value is {xcur:f}")
 
 
 def require_steady_state(p: SystemParams) -> SteadyStateResult:
@@ -122,7 +187,9 @@ def algebraic_steady_state(p: SystemParams) -> FieldState:
     with q = sqrt(8 gamma3) / (kappa1 kappa2) and
     beta = kappa1 sqrt(2 gamma3) / kappa2.  The right side rises strictly
     from 0, so one bracketed root in t gives the only stationary point, with
-    finite amplitudes for every finite pump.
+    finite amplitudes for every finite pump.  The root is Brent's method with
+    scipy.optimize.brentq's iterates, tolerances (rtol 4 eps, 100
+    iterations) and exceptions; t is exactly 0 for a zero pump.
     """
     validate_params(p)
     # Python floats: their products overflow to inf without a warning.
@@ -143,7 +210,7 @@ def algebraic_steady_state(p: SystemParams) -> FieldState:
     # 1e-300 floor, where the first bound underflows, t moves no amplitude.
     t_hi = 2.0 * min(pump * pump / (q * g2 * g1 * g1),
                      pump ** 0.4 / (math.sqrt(q) * beta) ** 0.4)
-    t = brentq(excess, 0.0, max(t_hi, 1e-300), xtol=1e-300)
+    t = _brentq(excess, 0.0, max(t_hi, 1e-300), xtol=1e-300)
     a1 = e / (g1 + beta * t)
     # Negated factors first: the products then keep a real pump's amplitudes
     # free of negative zeros, and no intermediate overflows.

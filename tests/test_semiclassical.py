@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -234,15 +235,81 @@ def test_threshold_diverges_in_linear_cavity_limit():
         pulsing_threshold(p, (100.0, 5000.0))
 
 
-def test_package_import_leaves_out_the_ode_integrator():
-    # The ODE relaxation is a test oracle; the package and its command line
-    # find steady states without scipy.integrate, so must not import it.
+def _value_or_error(compute):
+    try:
+        return compute()
+    except Exception as exc:
+        return type(exc)
+
+
+# Pumps log-uniform over 1e-300..1e200 on both presets: the closed form's
+# root takes the same iterates with scipy's brentq in place of the port.
+@given(regime=st.sampled_from([1, 2]),
+       pump=st.floats(-300.0, 200.0).map(lambda x: 10.0 ** x),
+       phase=st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)))
+@example(regime=1, pump=0.0, phase=0.0)
+@example(regime=2, pump=5e-324, phase=0.0)
+@example(regime=1, pump=1e-300, phase=1.0)
+@example(regime=2, pump=105.0, phase=0.0)
+@example(regime=2, pump=57.176, phase=-2.0)
+@example(regime=1, pump=230.4, phase=0.0)
+@example(regime=2, pump=896.0, phase=0.5)
+@settings(max_examples=300, deadline=None)
+def test_brent_port_matches_scipy_brentq(regime, pump, phase):
+    p = replace(REGIME_PRESETS[regime], epsilon=pump * np.exp(1j * phase))
+
+    def amplitudes():
+        return algebraic_steady_state(p).alpha.tobytes()
+
+    ported = _value_or_error(amplitudes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semiclassical, "_brentq", scipy.optimize.brentq)
+        assert _value_or_error(amplitudes) == ported
+
+
+# Where f is flat in float64 the C loop divides by zero to inf or NaN and
+# bisects; the port must take the same step.
+@given(c=st.floats(-10.0, 10.0), lo=st.floats(0.1, 20.0),
+       hi=st.floats(0.1, 20.0), scale=st.sampled_from([1.0, 1e-200]),
+       xtol=st.sampled_from([2e-12, 1e-300]))
+@settings(max_examples=300, deadline=None)
+def test_brent_port_matches_scipy_on_flat_functions(c, lo, hi, scale, xtol):
+    def steps(x):
+        return scale * (-1.0 if x < c else 0.5 if x < c + 1.0 else 1.0)
+
+    def saturating(x):
+        return scale * math.tanh(x - c)
+
+    for f in (steps, saturating):
+        ported, reference = (
+            _value_or_error(lambda: solve(f, c - lo, c + hi, xtol=xtol).hex())
+            for solve in (semiclassical._brentq, scipy.optimize.brentq))
+        assert ported == reference
+
+
+@pytest.mark.parametrize("f, a, b, error", [
+    (lambda x: x + 1.0, 0.0, 1.0, ValueError),  # ends of one sign
+    (lambda x: math.nan if x == 1.0 else x - 0.5, 0.0, 1.0, ValueError),
+    # bisecting 1e300 down to 1e-305 takes over 100 iterations
+    (lambda x: -1.0 if x < 1e-305 else 1.0, -1e300, 3e299, RuntimeError),
+], ids=["same-sign", "nan", "maxiter"])
+def test_brent_port_raises_as_scipy_does(f, a, b, error):
+    for solver in (semiclassical._brentq, scipy.optimize.brentq):
+        with pytest.raises(error):
+            solver(f, a, b, xtol=1e-300)
+
+
+def test_package_import_leaves_out_scipy():
+    # numpy is the only runtime dependency: scipy's integrator and Lyapunov
+    # solver are test oracles and the root is a port of its brentq, so the
+    # package and its command line must not load any scipy module.
     code = ("import sys, harmoniccascade.cli; "
-            "print('scipy.integrate' in sys.modules)")
+            "print([m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')])")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"

@@ -1,14 +1,16 @@
 """Record the benchmark of a change, and of its parent, in BENCH_<pr>.json.
 
 Runs ``perfbench/run.py`` for every workload in ``BENCHMARK.json`` at seed
-9001 for the benchmark's ``run_seconds``: ``--trace 0`` runs for the end-to-end
-metrics and ``--trace 1`` runs for the per-layer metrics, three pairs (as
-many as the ``--trace 0`` pairs when a workload has fewer).  Runs in the
-parent checkout (``--parent DIR``) and in this one alternate, the side that
-runs first swapping from pair to pair, and every pair of either kind is
-compared metric by metric.  Each run's result file is copied under
+9001 (or ``--seed``) for the benchmark's ``run_seconds``: ``--trace 0`` runs
+for the end-to-end metrics and ``--trace 1`` runs for the per-layer metrics,
+three pairs (as many as the ``--trace 0`` pairs when a workload has fewer).
+Runs in the parent checkout (``--parent DIR``) and in this one alternate, the
+side that runs first swapping from pair to pair, and every pair of either
+kind is compared metric by metric.  Each run's result file is copied under
 ``.perfbench/bench-<pr>/`` and named in the record, next to its metrics, git
-SHA, ``nproc`` and calibration samples.
+SHA, ``nproc`` and calibration samples.  A run at another seed, which repeats
+a claim on inputs the change was not tuned on, goes to
+``BENCH_<pr>_seed<seed>.json`` and ``.perfbench/bench-<pr>_seed<seed>/``.
 
     python3 tools/bench_record.py --pr N --parent ../parent \\
         --runs pump_sweep=10 --runs ensemble_flagship=3 --runs cli_modes=3
@@ -41,6 +43,8 @@ def parse_args(argv):
                     help="number in the output name BENCH_<pr>.json")
     ap.add_argument("--parent", type=Path, required=True,
                     help="checkout of the parent commit to run alternately")
+    ap.add_argument("--seed", type=int, default=SEED,
+                    help=f"perfbench seed; default {SEED}")
     ap.add_argument("--runs", action="append", default=[], metavar="WORKLOAD=N",
                     help="--trace 0 pairs per workload; default 3 each")
     args = ap.parse_args(argv)
@@ -63,13 +67,14 @@ def source_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
-def run_once(checkout: Path, workload: str, trace: int, keep: Path) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, trace: int,
+             keep: Path) -> dict:
     """One perfbench run in checkout; its result file is copied to keep."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(SPEC["run_seconds"]),
+           "--seed", str(seed), "--seconds", str(SPEC["run_seconds"]),
            "--trace", str(trace)]
     # every run with this seed writes the same name: clear the last one's
-    produced = checkout / ".perfbench" / f"result-{workload}-{SEED}-trace{trace}.json"
+    produced = checkout / ".perfbench" / f"result-{workload}-{seed}-trace{trace}.json"
     produced.unlink(missing_ok=True)
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -152,7 +157,8 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     sides = {"parent": args.parent.resolve(), "change": ROOT}
-    store = ROOT / ".perfbench" / f"bench-{args.pr}"
+    name = f"{args.pr}" if args.seed == SEED else f"{args.pr}_seed{args.seed}"
+    store = ROOT / ".perfbench" / f"bench-{name}"
     shutil.rmtree(store, ignore_errors=True)
     runs = {side: {} for side in sides}
     for workload, n in args.runs.items():
@@ -161,7 +167,7 @@ def main(argv=None) -> int:
                 order = list(sides) if i % 2 == 0 else list(sides)[::-1]
                 for side in order:
                     keep = store / f"{side}-{workload}-trace{trace}-{i}.json"
-                    res = run_once(sides[side], workload, trace, keep)
+                    res = run_once(sides[side], workload, args.seed, trace, keep)
                     runs[side].setdefault(workload, {}).setdefault(
                         f"trace{trace}", []).append(res)
                     op = res["metrics"].get("op_ms_p50")
@@ -170,7 +176,7 @@ def main(argv=None) -> int:
                           f"{op if op is None else round(op, 3)}", flush=True)
 
     report = {
-        "benchmark": {"command": SPEC["command"], "seed": SEED,
+        "benchmark": {"command": SPEC["command"], "seed": args.seed,
                       "seconds": SPEC["run_seconds"], "runs": args.runs,
                       "order": "alternating pairs, first side swapped each pair"},
         "sides": {},
@@ -190,7 +196,7 @@ def main(argv=None) -> int:
         "per_layer": compare(runs["parent"][wl]["trace1"],
                              runs["change"][wl]["trace1"]),
     } for wl in args.runs}
-    out = ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{name}.json"
     # one line per (nested) list of numbers: only whitespace changes
     text = re.sub(r"\[[-+.\deE,\s\[\]]*\]",
                   lambda m: " ".join(m.group().split()),
