@@ -21,6 +21,12 @@ are passed positionally, the noise arrives scaled by sqrt(dt), and below
 _PIPELINE_MIN_TRAJ trajectories the constant operands are held at their
 partners' full shape; wider ensembles broadcast them.
 
+Each sample reduces the live columns to their means, pair products and
+fluctuation covariance one (6, n_live) row of products at a time, so it
+holds 2.5 times the live state on top of it (the deviations, one product
+row and a real temporary of std), not the 10 times of whole (6, 6, n_live)
+product arrays; every moment is bit for bit that of the whole arrays.
+
 Reproducibility contract, kept by _noise_chunks: the generator is
 counter-based (Philox keyed by the seed) and the run consumes one (4, n_traj)
 block of standard normals per time step, rows ordered as the noises on
@@ -194,6 +200,16 @@ def _mean_and_stderr(values: np.ndarray):
     return mean, se
 
 
+def _pair_moments(x: np.ndarray) -> tuple:
+    # The (6, 6) means of x[i] * x[j] over the columns of x and their
+    # stderr, one (6, n) row of products at a time; each row reduces as the
+    # same row of the (6, 6, n) product would.  Every row is computed: the
+    # SIMD complex multiply is not bitwise commutative, so mirroring [i, j]
+    # into [j, i] would change the last bits.
+    return tuple(map(np.array, zip(*(_mean_and_stderr(row * x)
+                                     for row in x))))
+
+
 def _moments(v: np.ndarray) -> tuple:
     """Means, pair products and fluctuation covariance of the live columns v
     of the (6, n) doubled state, each followed by its stderr."""
@@ -201,8 +217,7 @@ def _moments(v: np.ndarray) -> tuple:
         raise ExcessiveDivergence("all trajectories diverged")
     means, means_se = _mean_and_stderr(v)
     w = v - means[:, None]
-    return (means, means_se, *_mean_and_stderr(v[:, None, :] * v[None, :, :]),
-            *_mean_and_stderr(w[:, None, :] * w[None, :, :]))
+    return (means, means_se, *_pair_moments(v), *_pair_moments(w))
 
 
 @dataclass(frozen=True)
@@ -210,13 +225,18 @@ class EnsembleMoments:
     """Ensemble statistics at the sampled times.
 
     means holds the six doubled amplitudes (a1, a1+, a2, a2+, a3, a3+) per
-    sample time; second_doubled the full symmetric matrix of pair products
-    of the doubled vector, which contains every normally ordered pair:
-    <a_i a_j> at [2i, 2j], <a_i+ a_j> at [2i+1, 2j], <a_i+ a_j+> at
-    [2i+1, 2j+1] (zero-based mode offsets).  fluct_cov is the sample
-    covariance of the doubled vector (products of deviations from the
-    ensemble mean), directly comparable to the linearized stationary
-    covariance.  All stderr arrays pack SE(real) + 1j SE(imag).
+    sample time; second_doubled the (6, 6) trajectory means of the pair
+    products v_i v_j of the doubled vector v, which contain every normally
+    ordered pair: <a_i a_j> at [2i, 2j], <a_i+ a_j> at [2i+1, 2j],
+    <a_i+ a_j+> at [2i+1, 2j+1] (zero-based mode offsets).  Entries [i, j]
+    and [j, i] are separate means of v_i v_j and v_j v_i, equal in exact
+    arithmetic but not always in the last bits, as the complex multiply is
+    not bitwise commutative.  stochastic.csv reads n_ij at [2i+1, 2j] and
+    anom_ij at [2i, 2j] with i <= j, the upper triangle.  fluct_cov is the
+    sample covariance of the doubled vector (products of deviations from
+    the ensemble mean), directly comparable to the linearized stationary
+    covariance, and holds its two triangles the same way.  All stderr
+    arrays pack SE(real) + 1j SE(imag).
     """
 
     n_traj: int

@@ -6,6 +6,11 @@ closed form in harmoniccascade.semiclassical.  Tests compare the two.
 
 write_csv_per_cell writes a CLI artifact one cell at a time through
 csv.writer, the reference for the column writer in harmoniccascade.cli.
+
+sample_moments reduces the full (6, 6, n) arrays of pair products, the
+reference for the ensemble's row-at-a-time moments.  euler_covariance is the
+exact stationary covariance of the Euler-Maruyama scheme on the linearized
+equations, the prediction of the ensemble's step bias.
 """
 
 import csv
@@ -116,3 +121,33 @@ def write_csv_per_cell(path, meta, columns, rows, footer=None) -> None:
             writer.writerow([_cell(x) for x in row])
         for line in footer or ():
             fh.write(f"# {line}\n")
+
+
+def _mean_and_stderr(values):
+    # Mean over the last axis, then SE(real) + 1j SE(imag).
+    se = (values.real.std(axis=-1, ddof=1)
+          + 1j * values.imag.std(axis=-1, ddof=1)) / np.sqrt(values.shape[-1])
+    return values.mean(axis=-1), se
+
+
+def sample_moments(v):
+    """Means, pair products and fluctuation covariance of the (6, n) columns
+    v (n >= 2), each followed by its standard error, from the (6, 6, n)
+    arrays of all products v[i] * v[j] and w[i] * w[j], w = v - mean."""
+    means, means_se = _mean_and_stderr(v)
+    w = v - means[:, None]
+    return (means, means_se, *_mean_and_stderr(v[:, None, :] * v[None, :, :]),
+            *_mean_and_stderr(w[:, None, :] * w[None, :, :]))
+
+
+def euler_covariance(A, D, dt):
+    """Stationary covariance P of Euler-Maruyama at step dt on dx = -A x dt
+    + noise of diffusion D: A P + P A^T - dt A P A^T = D, one 36x36 solve.
+
+    x' = (1 - dt A) x + sqrt(dt) noise keeps P when P = (1 - dt A) P
+    (1 - dt A)^T + dt D, which is the equation above; at dt = 0 it is the
+    continuous Lyapunov equation, and P - C is the step bias.
+    """
+    eye = np.eye(6)
+    K = np.kron(eye, A) + np.kron(A, eye) - dt * np.kron(A, A)
+    return np.linalg.solve(K, D.flatten(order="F")).reshape((6, 6), order="F")

@@ -9,6 +9,7 @@ seed below is fixed, so the suite is deterministic despite the statistics.
 """
 
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import first_order_mean_shift, interleaved_drift
+from oracles import euler_covariance, sample_moments
 from harmoniccascade import (REGIME_PRESETS, FieldState, SystemParams,
                              run_ensemble, stochastic)
 from harmoniccascade.model import doubled_drift, noise_variances
@@ -141,7 +143,8 @@ def test_stacked_step_matches_row_by_row_equations_bit_for_bit(case):
     # Philox blocks, must give the same bits: a swapped row, a misplaced
     # noise, an unconjugated pump or a reordered operation would move the
     # sampled moments.  Bytes are compared, so a sign of zero counts too;
-    # every field stochastic.csv writes is compared.
+    # every field stochastic.csv writes is compared, against the reduction
+    # of the full (6, 6, n) product arrays in oracles.sample_moments.
     p, kw, s0 = _STEP_CASES[case]
     dt, n = kw["dt"], kw["n_traj"]
     n_steps = stochastic.step_count(dt, kw["t_end"])
@@ -172,15 +175,28 @@ def test_stacked_step_matches_row_by_row_equations_bit_for_bit(case):
                 v[0::2], v[1::2] = a, b
                 samples.append(v.compress(alive, axis=1))
     assert m.t_grid.tobytes() == np.multiply(sample_steps, dt).tobytes()
-    assert m.means.tobytes() == np.array(
-        [v.mean(axis=-1) for v in samples]).tobytes()
-    assert m.second_doubled.tobytes() == np.array(
-        [(v[:, None] * v[None, :]).mean(axis=-1) for v in samples]).tobytes()
-    ref = zip(*map(stochastic._moments, samples))
+    ref = zip(*map(sample_moments, samples))
     for name, values in zip(_MOMENT_FIELDS[1:], ref, strict=True):
         assert getattr(m, name).tobytes() == np.array(values).tobytes(), name
     assert m.divergent == n - alive.sum()
     assert m.divergent == (31 if case == "divergence_budget" else 0)
+
+
+def test_moments_hold_under_four_times_the_live_state():
+    # Pair moments are reduced one (6, n) row of products at a time, so a
+    # sample holds the deviations, one product row and a real temporary of
+    # std: 2.5 times the state.  The full (6, 6, n) products held 10 times.
+    x = make_rng(5).standard_normal((2, 6, 10_000))
+    v = x[0] + 1j * x[1]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        stochastic._moments(v)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * v.nbytes
 
 
 def test_single_trajectory_reproduces_ensemble_stream(regime1):
@@ -482,3 +498,24 @@ def test_weak_drive_matches_linearized_covariance(regime1):
     pred = cov[1, 0] + sd[1] * sd[0]
     se = m.second_doubled_stderr[-1, 1, 0]
     assert abs((m.number_moment(1, 1) - pred).real) / se.real < 3.0
+
+
+def test_coarse_step_covariance_matches_euler_prediction(regime1, ss1, dd1,
+                                                         lyap1):
+    # Euler-Maruyama on the linearized equations keeps the covariance P of
+    # A P + P A^T - dt A P A^T = D, not the Lyapunov C; at dt 0.1 they differ
+    # by 7% of the largest entry of C.  10^4 trajectories resolve that step
+    # bias: the sampled covariance sits within 4 standard errors of P and
+    # at least 4 from C.  Settings and bounds were fixed before a first run.
+    A, D, dt = dd1.a_matrix, dd1.d_matrix, 0.1
+    np.testing.assert_allclose(euler_covariance(A, D, 0.0), lyap1,
+                               rtol=1e-12, atol=1e-15)
+    P = euler_covariance(A, D, dt)
+    assert np.abs(A @ P + P @ A.T - dt * A @ P @ A.T - D).max() < 1e-12
+    m = run_ensemble(regime1, dt=dt, t_end=400 * dt, n_traj=10_000, seed=27,
+                     initial=ss1.state)
+    assert m.divergent == 0
+    assert max(z.max() for z in _z(m.fluct_cov[-1] - P,
+                                   m.fluct_cov_stderr[-1])) <= 4.0
+    assert max(z.max() for z in _z(m.fluct_cov[-1] - lyap1,
+                                   m.fluct_cov_stderr[-1])) >= 4.0
