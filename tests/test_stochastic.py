@@ -185,7 +185,7 @@ def test_stacked_step_matches_row_by_row_equations_bit_for_bit(case):
 def test_moments_hold_under_four_times_the_live_state():
     # Pair moments are reduced one (6, n) row of products at a time, so a
     # sample holds the deviations, one product row and a real temporary of
-    # std: 2.5 times the state.  The full (6, 6, n) products held 10 times.
+    # std: 2.5 times the state.  Whole (6, 6, n) products would hold 10.
     x = make_rng(5).standard_normal((2, 6, 10_000))
     v = x[0] + 1j * x[1]
     tracemalloc.start()
