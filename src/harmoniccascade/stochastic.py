@@ -26,13 +26,16 @@ fluctuation covariance one (6, n_live) row of products at a time, so it
 holds 2.5 times the live state on top of it (the deviations, one product
 row and a real temporary of std), not the 10 times of whole (6, 6, n_live)
 product arrays; every moment is bit for bit that of the whole arrays.
+While no trajectory has diverged the sample reads the state in place;
+after a divergence it reduces a copy of the live columns.
 
 Reproducibility contract, kept by _noise_chunks: the generator is
 counter-based (Philox keyed by the seed) and the run consumes one (4, n_traj)
 block of standard normals per time step, rows ordered as the noises on
 (alpha_1, alpha_1_plus, alpha_2, alpha_2_plus).  Identical seed and settings
-give bit-identical results.  Blocks are drawn _CHUNK_STEPS steps per
-generator call, which yields the same stream as one call per step.
+give bit-identical results.  Blocks are drawn several steps per generator
+call (_chunk_length: at most _CHUNK_STEPS steps and _CHUNK_NORMALS normals),
+which yields the same stream as one call per step.
 Ensembles of at least _PIPELINE_MIN_TRAJ trajectories, on a host with two or
 more usable cores, take each chunk on one worker thread (_ahead) while the
 main thread integrates the one before.  That changes which thread makes the
@@ -79,8 +82,13 @@ _PIPELINE_MIN_TRAJ = 2500
 # a shared host stalled the main thread.  Eight alternating runs of the
 # 10^4-trajectory benchmark workload on a 2-core host: throughput quartiles
 # spread by 13% of the median drawing per step, 10% drawing 8 steps per
-# call, at equal medians.  Two 8-step buffers take 5 MB at 10^4 trajectories.
+# call, at equal medians.
 _CHUNK_STEPS = 8
+# Normals drawn by one generator call at most, 640 KB per buffer: 8-step
+# chunks up to 2500 trajectories, 2-step ones at 10^4.  Two 8-step buffers
+# held 5 MB at 10^4 trajectories, near half a run's traced peak; 2-step
+# chunks there won 6 of 12 alternating timed pairs against 8-step ones.
+_CHUNK_NORMALS = 80_000
 
 
 class ExcessiveDivergence(RuntimeError):
@@ -116,24 +124,31 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _chunk_length(n_traj: int, n_steps: int) -> int:
+    """Steps per noise chunk: at most _CHUNK_STEPS, _CHUNK_NORMALS normals
+    (but at least one step) and the run's n_steps."""
+    return max(1, min(_CHUNK_STEPS, _CHUNK_NORMALS // (4 * n_traj), n_steps))
+
+
 def _noise_chunks(rng: np.random.Generator, n_traj: int, n_steps: int,
                   dt: float, n_buffers: int):
     """The run's n_steps (4, n_traj) blocks of sqrt(dt)-scaled normals, as
-    (m, 4, n_traj) chunks of m <= _CHUNK_STEPS steps, each one generator
-    call into the next of n_buffers reused buffers, scaled in place and
-    valid until n_buffers more are taken.  The buffers are made by this call,
-    on the caller's thread; a worker would put them in its own malloc arena,
-    which added 5 MB to the 10^4-trajectory benchmark's peak RSS."""
-    buffers = np.empty((n_buffers, _CHUNK_STEPS, 4, n_traj))
+    (m, 4, n_traj) chunks of m = _chunk_length(n_traj, n_steps) steps (the
+    last one may be shorter), each one generator call into the next of
+    n_buffers reused buffers, scaled in place and valid until n_buffers more
+    are taken.  The buffers are made by this call, on the caller's thread; a
+    worker would put them in its own malloc arena, which added 5 MB to the
+    10^4-trajectory benchmark's peak RSS with 8-step buffers."""
+    m = _chunk_length(n_traj, n_steps)
+    buffers = np.empty((n_buffers, m, 4, n_traj))
     sqrt_dt = np.sqrt(dt)
 
     def fill(c: int) -> np.ndarray:
-        start = c * _CHUNK_STEPS
         chunk = rng.standard_normal(
-            out=buffers[c % n_buffers, :min(_CHUNK_STEPS, n_steps - start)])
+            out=buffers[c % n_buffers, :min(m, n_steps - c * m)])
         return np.multiply(chunk, sqrt_dt, chunk)
 
-    return map(fill, range(-(-n_steps // _CHUNK_STEPS)))
+    return map(fill, range(-(-n_steps // m)))
 
 
 def _ahead(worker: ThreadPoolExecutor, items):
@@ -306,9 +321,12 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
                     # park escaped columns so they stop producing overflow
                     s[..., newly_dead] = 0
             if sampled:
-                # C-ordered, unlike [:, alive]: the means sum in the same order
+                # The state itself while every column lives, else a C-ordered
+                # copy of the live ones (unlike [:, alive]): either way the
+                # means sum in the same order.
+                v = s.reshape(6, n_traj)
                 samples.append(_moments(
-                    s.reshape(6, n_traj).compress(alive, axis=1)))
+                    v if alive.all() else v.compress(alive, axis=1)))
     means, means_se, m2, m2_se, fcov, fcov_se = map(np.array, zip(*samples))
 
     divergent = int(n_traj - alive.sum())

@@ -133,6 +133,9 @@ _STEP_CASES = {
     "wide_layout": (replace(REGIME_PRESETS[2], epsilon=60.0 - 85.0j),
                     dict(dt=1e-3, t_end=12e-3,
                          n_traj=stochastic._PIPELINE_MIN_TRAJ, seed=5), _S0),
+    # wide enough for the size cap to bind: 4-step chunks, a 2-step last one
+    "capped_chunks": (replace(REGIME_PRESETS[2], epsilon=60.0 - 85.0j),
+                      dict(dt=1e-3, t_end=14e-3, n_traj=5000, seed=6), _S0),
 }
 
 
@@ -197,6 +200,30 @@ def test_moments_hold_under_four_times_the_live_state():
     finally:
         tracemalloc.stop()
     assert peak < 4 * v.nbytes
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+def test_wide_run_holds_under_eight_times_the_state(cores, regime1, ss1,
+                                                    monkeypatch):
+    # At 10^4 trajectories the noise buffers are capped at 2-step chunks
+    # (two 0.64 MB buffers with the worker), and a sample with every column
+    # alive reads the state in place.  With 8-step buffers and a copy of the
+    # state per sample the traced peak was 11.6 times the state with the
+    # worker and 8.9 times serially.
+    monkeypatch.setattr(stochastic, "_usable_cores", lambda: cores)
+    state_bytes = np.empty((6, 10_000), complex).nbytes
+    make_rng(3)  # numpy.random is imported on first use: trace the run alone
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        m = run_ensemble(regime1, dt=2e-3, t_end=16 * 2e-3, n_traj=10_000,
+                         seed=3, initial=ss1.state)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert m.divergent == 0
+    assert peak < 8 * state_bytes
 
 
 def test_single_trajectory_reproduces_ensemble_stream(regime1):
@@ -325,7 +352,8 @@ def test_serial_and_pipelined_noise_agree_bit_for_bit(case, regime1,
     for pipelined in (False, True):
         log = noise_path(pipelined)
         runs[pipelined] = run_ensemble(p, **kw)
-        assert len(log.threads) == -(-n_steps // stochastic._CHUNK_STEPS)
+        chunk = stochastic._chunk_length(kw["n_traj"], n_steps)
+        assert len(log.threads) == -(-n_steps // chunk)
         on_main = [t == threading.get_ident() for t in log.threads]
         assert not any(on_main) if pipelined else all(on_main)
     serial, pipelined = runs[False], runs[True]
@@ -344,19 +372,23 @@ def test_noise_chunks_give_one_block_per_step_stream(pipelined, n_steps):
     # exactly the scaled blocks of one (4, n_traj) call per step, the
     # expression of the row-by-row reference, also for a short last chunk;
     # taken ahead on a worker, the second buffer keeps each chunk intact.
+    # The 80,000-normal cap gives 2-step chunks at 10^4 trajectories and
+    # 1-step ones past 20,000.
     dt = 2e-3
-    chunks = stochastic._noise_chunks(make_rng(21), 5, n_steps, dt,
-                                      2 if pipelined else 1)
-    with ThreadPoolExecutor(1) as worker:
-        got = [block.copy() for chunk in
-               (stochastic._ahead(worker, chunks) if pipelined else chunks)
-               for block in chunk]
-    ref = make_rng(21)
-    assert len(got) == n_steps
-    for block in got:
-        want = np.sqrt(dt) * ref.standard_normal((4, 5))
-        assert block.shape == want.shape
-        assert block.tobytes() == want.tobytes()
+    for n_traj, steps_per_call in ((5, 8), (10_000, 2), (20_001, 1)):
+        chunks = stochastic._noise_chunks(make_rng(21), n_traj, n_steps, dt,
+                                          2 if pipelined else 1)
+        with ThreadPoolExecutor(1) as worker:
+            got = [chunk.copy() for chunk in
+                   (stochastic._ahead(worker, chunks) if pipelined else chunks)]
+        whole, rest = divmod(n_steps, steps_per_call)
+        assert [len(c) for c in got] == ([steps_per_call] * whole
+                                         + [rest] * (rest > 0))
+        ref = make_rng(21)
+        for block in (block for chunk in got for block in chunk):
+            want = np.sqrt(dt) * ref.standard_normal((4, n_traj))
+            assert block.shape == want.shape
+            assert block.tobytes() == want.tobytes()
 
 
 def test_ahead_takes_items_in_order_on_the_worker():
