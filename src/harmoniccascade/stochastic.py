@@ -22,12 +22,14 @@ _PIPELINE_MIN_TRAJ trajectories the constant operands are held at their
 partners' full shape; wider ensembles broadcast them.
 
 Each sample reduces the live columns to their means, pair products and
-fluctuation covariance one (6, n_live) row of products at a time, so it
-holds 2.5 times the live state on top of it (the deviations, one product
-row and a real temporary of std), not the 10 times of whole (6, 6, n_live)
-product arrays; every moment is bit for bit that of the whole arrays.
-While no trajectory has diverged the sample reads the state in place;
-after a divergence it reduces a copy of the live columns.
+fluctuation covariance in blocks of products x[i] * x[j:j+b] of at most
+_SAMPLE_BYTES (or one row j).  It reads the state in place, and after a
+divergence copies the live columns of one block or row at a time; the
+deviations from the means are formed block by block too.  So no temporary
+is larger than one block of products, where whole (6, 6, n_live) product
+arrays held 10 times the live state, and every moment is bit for bit that
+of the whole arrays.  The divergence check takes magnitudes one mode at a
+time.
 
 Reproducibility contract, kept by _noise_chunks: the generator is
 counter-based (Philox keyed by the seed) and the run consumes one (4, n_traj)
@@ -89,6 +91,11 @@ _CHUNK_STEPS = 8
 # held 5 MB at 10^4 trajectories, near half a run's traced peak; 2-step
 # chunks there won 6 of 12 alternating timed pairs against 8-step ones.
 _CHUNK_NORMALS = 80_000
+# Bytes of one block of complex products that a sample reduces at once:
+# b = max(1, min(6, _SAMPLE_BYTES // (16 * n_live))) rows per block, all six
+# up to 1,666 live columns and one from 10^4.  One-row blocks at 10^4
+# trajectories cut a sample's traced peak from 2.5 to 0.6 times the state.
+_SAMPLE_BYTES = 160_000
 
 
 class ExcessiveDivergence(RuntimeError):
@@ -215,24 +222,48 @@ def _mean_and_stderr(values: np.ndarray):
     return mean, se
 
 
-def _pair_moments(x: np.ndarray) -> tuple:
+def _pair_moments(rows, b: int) -> tuple:
     # The (6, 6) means of x[i] * x[j] over the columns of x and their
-    # stderr, one (6, n) row of products at a time; each row reduces as the
-    # same row of the (6, 6, n) product would.  Every row is computed: the
-    # SIMD complex multiply is not bitwise commutative, so mirroring [i, j]
-    # into [j, i] would change the last bits.
-    return tuple(map(np.array, zip(*(_mean_and_stderr(row * x)
-                                     for row in x))))
+    # stderr, where rows(lo, hi) returns x[lo:hi], for b columns j at a
+    # time: each block x[lo:lo+b] is taken once, and each row outside it
+    # once per block.  Each product row reduces as the same row of the
+    # (6, 6, n) product would.  Every [i, j] is computed: the SIMD complex
+    # multiply is not bitwise commutative, so mirroring [i, j] into [j, i]
+    # would change the last bits.
+    mean, se = np.empty((2, 6, 6), complex)
+    for lo in range(0, 6, b):
+        block = rows(lo, lo + b)
+        for i in range(6):
+            row = block[i - lo] if lo <= i < lo + b else rows(i, i + 1)[0]
+            mean[i, lo:lo + b], se[i, lo:lo + b] = _mean_and_stderr(
+                row * block)
+    return mean, se
 
 
-def _moments(v: np.ndarray) -> tuple:
-    """Means, pair products and fluctuation covariance of the live columns v
-    of the (6, n) doubled state, each followed by its stderr."""
-    if v.shape[1] == 0:
+def _moments(v: np.ndarray, alive: np.ndarray | None = None) -> tuple:
+    """Means, pair products and fluctuation covariance of the columns of the
+    (6, n) doubled state v that the mask alive keeps (all by default), each
+    followed by its stderr; products are taken one block of rows at a
+    time, of at most _SAMPLE_BYTES or else one row."""
+    n = v.shape[1] if alive is None else int(np.count_nonzero(alive))
+    if n == 0:
         raise ExcessiveDivergence("all trajectories diverged")
-    means, means_se = _mean_and_stderr(v)
-    w = v - means[:, None]
-    return (means, means_se, *_pair_moments(v), *_pair_moments(w))
+    b = max(1, min(6, _SAMPLE_BYTES // (16 * n)))
+
+    def live(lo: int, hi: int) -> np.ndarray:
+        # a C-ordered copy (unlike [:, alive]): rows sum in the same order
+        return v[lo:hi] if alive is None else v[lo:hi].compress(alive, axis=1)
+
+    means, means_se = np.empty((2, 6), complex)
+    for lo in range(0, 6, b):
+        means[lo:lo + b], means_se[lo:lo + b] = _mean_and_stderr(
+            live(lo, lo + b))
+
+    def deviations(lo: int, hi: int) -> np.ndarray:
+        return live(lo, hi) - means[lo:hi, None]
+
+    return (means, means_se, *_pair_moments(live, b),
+            *_pair_moments(deviations, b))
 
 
 @dataclass(frozen=True)
@@ -313,20 +344,18 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
             step_once(noise)
             sampled = step in sample_steps
             if step % 200 == 0 or sampled:    # the last step is sampled
-                # max propagates NaN, and NaN <= cap is False
-                ok = np.abs(s).max(axis=(0, 1)) <= _AMPLITUDE_CAP
+                # max propagates NaN, and NaN <= cap is False; one mode's
+                # magnitudes at a time
+                ok = np.logical_and.reduce(
+                    [np.abs(mode).max(axis=0) <= _AMPLITUDE_CAP for mode in s])
                 newly_dead = alive & ~ok
                 if newly_dead.any():
                     alive &= ok
                     # park escaped columns so they stop producing overflow
                     s[..., newly_dead] = 0
             if sampled:
-                # The state itself while every column lives, else a C-ordered
-                # copy of the live ones (unlike [:, alive]): either way the
-                # means sum in the same order.
-                v = s.reshape(6, n_traj)
-                samples.append(_moments(
-                    v if alive.all() else v.compress(alive, axis=1)))
+                samples.append(_moments(s.reshape(6, n_traj),
+                                        None if alive.all() else alive))
     means, means_se, m2, m2_se, fcov, fcov_se = map(np.array, zip(*samples))
 
     divergent = int(n_traj - alive.sum())

@@ -8,7 +8,7 @@ write_csv_per_cell writes a CLI artifact one cell at a time through
 csv.writer, the reference for the column writer in harmoniccascade.cli.
 
 sample_moments reduces the full (6, 6, n) arrays of pair products, the
-reference for the ensemble's row-at-a-time moments.  euler_covariance is the
+reference for the ensemble's blocked moments.  euler_covariance is the
 exact stationary covariance of the Euler-Maruyama scheme on the linearized
 equations, the prediction of the ensemble's step bias.
 """
@@ -124,16 +124,20 @@ def write_csv_per_cell(path, meta, columns, rows, footer=None) -> None:
 
 
 def _mean_and_stderr(values):
-    # Mean over the last axis, then SE(real) + 1j SE(imag).
+    # Mean over the last axis, then SE(real) + 1j SE(imag); one column has
+    # no spread, so its standard errors are zero.
+    mean, n = values.mean(axis=-1), values.shape[-1]
+    if n < 2:
+        return mean, np.zeros_like(mean)
     se = (values.real.std(axis=-1, ddof=1)
-          + 1j * values.imag.std(axis=-1, ddof=1)) / np.sqrt(values.shape[-1])
-    return values.mean(axis=-1), se
+          + 1j * values.imag.std(axis=-1, ddof=1)) / np.sqrt(n)
+    return mean, se
 
 
 def sample_moments(v):
     """Means, pair products and fluctuation covariance of the (6, n) columns
-    v (n >= 2), each followed by its standard error, from the (6, 6, n)
-    arrays of all products v[i] * v[j] and w[i] * w[j], w = v - mean."""
+    v, each followed by its standard error, from the (6, 6, n) arrays of all
+    products v[i] * v[j] and w[i] * w[j], w = v - mean."""
     means, means_se = _mean_and_stderr(v)
     w = v - means[:, None]
     return (means, means_se, *_mean_and_stderr(v[:, None, :] * v[None, :, :]),

@@ -136,7 +136,17 @@ _STEP_CASES = {
     # wide enough for the size cap to bind: 4-step chunks, a 2-step last one
     "capped_chunks": (replace(REGIME_PRESETS[2], epsilon=60.0 - 85.0j),
                       dict(dt=1e-3, t_end=14e-3, n_traj=5000, seed=6), _S0),
+    # samples reduced in one-row blocks
+    "one_row_blocks": (replace(REGIME_PRESETS[2], epsilon=60.0 - 85.0j),
+                       dict(dt=1e-3, t_end=4e-3, n_traj=10_000, seed=7), _S0),
+    # and the live columns of one-row blocks after a divergence
+    "divergence_one_row_blocks": (
+        SystemParams(0.06, 0.24, 105.0, 1.0, 0.5, 0.5),
+        dict(dt=1e-2, t_end=5.0, n_traj=10_000, seed=3, strict=False),
+        FieldState.vacuum()),
 }
+# trajectories that diverge, frozen by the determinism contract
+_DIVERGENT = {"divergence_budget": 31, "divergence_one_row_blocks": 1566}
 
 
 @pytest.mark.parametrize("case", list(_STEP_CASES))
@@ -182,7 +192,7 @@ def test_stacked_step_matches_row_by_row_equations_bit_for_bit(case):
     for name, values in zip(_MOMENT_FIELDS[1:], ref, strict=True):
         assert getattr(m, name).tobytes() == np.array(values).tobytes(), name
     assert m.divergent == n - alive.sum()
-    assert m.divergent == (31 if case == "divergence_budget" else 0)
+    assert m.divergent == _DIVERGENT.get(case, 0)
 
 
 def test_moments_hold_under_four_times_the_live_state():
@@ -224,6 +234,71 @@ def test_wide_run_holds_under_eight_times_the_state(cores, regime1, ss1,
         tracemalloc.stop()
     assert m.divergent == 0
     assert peak < 8 * state_bytes
+
+
+# The widest ensemble whose samples reduce all six rows in one block.
+_ONE_BLOCK_MAX = stochastic._SAMPLE_BYTES // (16 * 6)
+
+
+@pytest.mark.parametrize("n, dead", [
+    *((n, 0.0) for n in (1, 2, 7, 300, _ONE_BLOCK_MAX - 1, _ONE_BLOCK_MAX,
+                         _ONE_BLOCK_MAX + 1, 5000, 10_000)),
+    (10_000, 0.15)])
+def test_blocked_moments_match_full_products_bit_for_bit(n, dead):
+    # Samples reduce the products in blocks of rows, all six up to
+    # _ONE_BLOCK_MAX live columns and one at 10^4; every field must be the
+    # bytes of the whole (6, 6, n) product arrays.  With dead columns the
+    # sample takes the live ones block by block, as after a divergence.
+    x = make_rng(n).standard_normal((2, 6, n))
+    v = x[0] + 1j * x[1]
+    alive = make_rng(n + 1).random(n) >= dead
+    got = stochastic._moments(v, alive if dead else None)
+    for name, a, b in zip(_MOMENT_FIELDS[1:], got,
+                          sample_moments(v.compress(alive, axis=1)),
+                          strict=True):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _traced_peak(run) -> tuple:
+    """The bytes that run() allocates at its peak, traced, and its result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_moments_hold_under_the_live_state():
+    # One-row blocks at 10^4 trajectories: the sample holds one deviation
+    # block, one deviation row, their product and a real temporary of std,
+    # 0.6 times the state.  Six-row blocks held 2.5.
+    x = make_rng(5).standard_normal((2, 6, 10_000))
+    v = x[0] + 1j * x[1]
+    assert _traced_peak(lambda: stochastic._moments(v))[0] < v.nbytes
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+@pytest.mark.parametrize("case", ["all_alive", "divergence_one_row_blocks"])
+def test_wide_run_holds_under_five_and_a_half_times_the_state(
+        case, cores, regime1, ss1, monkeypatch):
+    # 10^4 trajectories: the state, the step's drift and pair arrays, one or
+    # two 0.64 MB noise buffers and a sample of one-row blocks.  Samples of
+    # six-row blocks, reading a copy of the live columns after a divergence,
+    # peaked at 6.6 (worker) and 5.9 (serial) times the state in 16 steps,
+    # and at 7.5 and 6.8 in the divergence-budget run.
+    monkeypatch.setattr(stochastic, "_usable_cores", lambda: cores)
+    if case == "all_alive":
+        p, s0 = regime1, ss1.state
+        kw = dict(dt=2e-3, t_end=16 * 2e-3, n_traj=10_000, seed=3)
+    else:
+        p, kw, s0 = _STEP_CASES[case]
+    make_rng(3)  # numpy.random is imported on first use: trace the run alone
+    peak, m = _traced_peak(lambda: run_ensemble(p, initial=s0, **kw))
+    assert m.divergent == _DIVERGENT.get(case, 0)
+    assert peak < 5.5 * np.empty((6, 10_000), complex).nbytes
 
 
 def test_single_trajectory_reproduces_ensemble_stream(regime1):
