@@ -17,9 +17,16 @@ the halves swapped and the pump conjugated, so the step does each operation
 of model.doubled_drift and noise_variances as one ufunc call over both halves
 into arrays made once per run, with their per-element arithmetic bit for
 bit (test_stacked_step_matches_row_by_row_equations_bit_for_bit).  Outputs
-are passed positionally, the noise arrives scaled by sqrt(dt), and below
+are passed positionally and the noise arrives scaled by sqrt(dt).  A step
+takes the noise variances kappa x from the pre-step state, adds the drift,
+then takes the variances' square roots in the drift array's scratch.  Below
 _PIPELINE_MIN_TRAJ trajectories the constant operands are held at their
-partners' full shape; wider ensembles broadcast them.
+partners' full shape and the root is np.sqrt (glibc's csqrt, one element at
+a time).  Wider ensembles broadcast the operands and take the root by
+glibc's formula in whole-array real arithmetic (_principal_sqrt), with |z|
+from numpy's SIMD complex abs: a part differs from np.sqrt by at most 3 ulp
+(2 on the ensemble's own values), so wide runs move at roundoff against
+versions that took np.sqrt there.
 
 Each sample reduces the live columns to their means, pair products and
 fluctuation covariance in blocks of products x[i] * x[j:j+b] of at most
@@ -35,9 +42,10 @@ Reproducibility contract, kept by _noise_chunks: the generator is
 counter-based (Philox keyed by the seed) and the run consumes one (4, n_traj)
 block of standard normals per time step, rows ordered as the noises on
 (alpha_1, alpha_1_plus, alpha_2, alpha_2_plus).  Identical seed and settings
-give bit-identical results.  Blocks are drawn several steps per generator
-call (_chunk_length: at most _CHUNK_STEPS steps and _CHUNK_NORMALS normals),
-which yields the same stream as one call per step.
+give bit-identical results on one numpy build and CPU.  Blocks are drawn
+several steps per generator call (_chunk_length: at most _CHUNK_STEPS steps
+and _CHUNK_NORMALS normals), which yields the same stream as one call per
+step.
 Ensembles of at least _PIPELINE_MIN_TRAJ trajectories, on a host with two or
 more usable cores, take each chunk on one worker thread (_ahead) while the
 main thread integrates the one before.  That changes which thread makes the
@@ -51,6 +59,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -69,13 +78,16 @@ __all__ = [
 _AMPLITUDE_CAP = 1e6
 # Fraction of divergent trajectories above which results are unreliable.
 _DIVERGENCE_BUDGET = 0.01
-# Ensemble width that makes two choices.  From it on, the noise is drawn on a
-# worker thread (with two or more usable cores) and the step's constant
-# operands stay broadcast vectors; below it the noise is drawn serially and
-# the operands are held at full shape.  Regime 1 from the steady state, 400
-# steps, 2-core shared host, paired medians of 10 alternating runs: serial
-# draws at full shape beat the thread at broadcast 1.12x at 1000 and 1.13x
-# at 2000 trajectories, and tied at 2500 (1.00x and 1.02x in two passes).
+# Ensemble width that makes three choices.  From it on, the noise is drawn
+# on a worker thread (with two or more usable cores), the step's constant
+# operands stay broadcast vectors and the root is _principal_sqrt; below it
+# the noise is drawn serially, the operands are held at full shape and the
+# root is np.sqrt.  Regime 1 from the steady state, 400 steps, 2-core
+# shared host, paired medians of 10 alternating runs, narrow run time over
+# wide: 0.89x at 300 trajectories, 1.31x and 1.36x at 1000, 1.44x and 1.74x
+# at 2000, 1.63x and 1.73x at 2500, 1.94x and 2.17x at 5000 (two passes).
+# The wide step wins from 1000 on; the width stays at 2500 so that every run
+# below it, the CLI's default 1000 trajectories included, keeps its bits.
 _PIPELINE_MIN_TRAJ = 2500
 # Steps of noise drawn by one generator call, as one (m, 4, n_traj) array.
 # The generator keeps no state between calls but its Philox counter, so a
@@ -168,14 +180,53 @@ def _ahead(worker: ThreadPoolExecutor, items):
         yield item
 
 
+def _principal_sqrt(z: np.ndarray, u: np.ndarray, v: np.ndarray,
+                    masks: np.ndarray) -> None:
+    """The principal square root of the complex array z, in place, by glibc's
+    csqrt formula (Kahan's) over whole arrays: u = sqrt(0.5 (|z| + |Re z|))
+    and v = 0.5 (Im z / u) give (u, v) where Re z > 0 and (|v|, copysign(u,
+    Im z)) elsewhere.  |z| comes from numpy's SIMD complex abs, up to 2 ulp
+    from libm's hypot, so a part can differ from np.sqrt by up to 3 ulp.  If
+    any u falls outside [2**-510, 2**510] or is NaN (a zero, subnormal or
+    huge |z|, an infinity or a NaN, where glibc rescales or special-cases),
+    np.sqrt takes those elements.  u and v are real scratch arrays of z's
+    shape, masks a bool scratch array of shape (3, *z.shape)."""
+    re, im = z.real, z.imag
+    upper, other, inside = masks
+    np.abs(z, u)
+    np.copyto(v, re)   # Re z compared contiguously: faster than strided
+    np.greater(v, 0, upper)
+    np.absolute(v, v)
+    np.add(u, v, u)
+    np.multiply(u, 0.5, u)
+    np.sqrt(u, u)
+    np.divide(im, u, v)
+    np.multiply(v, 0.5, v)
+    if not (2.0**-510 <= u.min() and u.max() <= 2.0**510):  # NaN fails too
+        np.greater_equal(u, 2.0**-510, inside)
+        np.less_equal(u, 2.0**510, other)
+        np.logical_and(inside, other, inside)
+        np.logical_not(inside, other)
+        np.sqrt(z, z, where=other)
+        np.copyto(u, re, where=other)
+        np.copyto(v, im, where=other)
+        np.logical_or(upper, other, upper)
+    np.copysign(u, v, im)   # v has the sign of Im z where u is in range
+    np.absolute(v, re)
+    np.copyto(re, u, where=upper)
+    np.copyto(im, v, where=upper)
+
+
 def _euler_step(s: np.ndarray, p: SystemParams, dt: float):
     """The in-place Euler-Maruyama update of the (3, 2, n) state s, as a
     function of one (4, n) noise block already scaled by sqrt(dt); a step
     allocates nothing and passes every output positionally.  The noise
-    coefficients use the pre-step state (Ito reading, which the equations'
-    form makes equivalent to Stratonovich for these moments).  Below
-    _PIPELINE_MIN_TRAJ trajectories the rates, couplings and pumps are held
-    at their partners' full shape; wider ensembles broadcast them."""
+    variances kappa x come from the pre-step state (Ito reading, which the
+    equations' form makes equivalent to Stratonovich for these moments) and
+    their roots are taken once the drift is added: from _PIPELINE_MIN_TRAJ
+    trajectories on by _principal_sqrt, in scratch carved out of the drift
+    array.  Below that width the rates, couplings and pumps are held at
+    their partners' full shape; wider ensembles broadcast them."""
     x12, x23, y12 = s[:2], s[1:], s[:2, ::-1]
     drift = np.empty_like(s)
     pair = np.empty_like(x23)
@@ -188,6 +239,13 @@ def _euler_step(s: np.ndarray, p: SystemParams, dt: float):
         rates, kappa, half_kappa, e = (
             np.broadcast_to(v, like.shape).copy() for v, like in
             ((rates, s), (kappa, pair), (half_kappa, pair), (e, d0)))
+        root = partial(np.sqrt, pair, pair)
+    else:
+        # the drift's 12 reals a column: 4 for u, 4 for v, 4 for the masks
+        work = drift.view(float).reshape(6, 2, -1)
+        masks = work[4:].view(bool).reshape(-1)[:3 * pair.size]
+        root = partial(_principal_sqrt, pair, work[:2], work[2:4],
+                       masks.reshape(3, *pair.shape))
     dt = np.array(dt, complex)
 
     def step(noise: np.ndarray) -> None:
@@ -200,10 +258,10 @@ def _euler_step(s: np.ndarray, p: SystemParams, dt: float):
         np.multiply(pair, x12, pair)
         np.subtract(d12, pair, d12)
         np.multiply(kappa, x23, pair)        # the noise variances
-        np.sqrt(pair, pair)
-        np.multiply(pair, noise.reshape(2, 2, -1), pair)
         np.multiply(drift, dt, drift)
         np.add(s, drift, s)
+        root()
+        np.multiply(pair, noise.reshape(2, 2, -1), pair)
         np.add(x12, pair, x12)
 
     return step
@@ -336,7 +394,7 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
                            2 if pipelined else 1)
 
     samples = []
-    with (np.errstate(invalid="ignore", over="ignore"),
+    with (np.errstate(invalid="ignore", over="ignore", divide="ignore"),
           ThreadPoolExecutor(1) if pipelined else nullcontext() as worker):
         blocks = chain.from_iterable(
             _ahead(worker, chunks) if pipelined else chunks)

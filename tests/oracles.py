@@ -8,9 +8,11 @@ write_csv_per_cell writes a CLI artifact one cell at a time through
 csv.writer, the reference for the column writer in harmoniccascade.cli.
 
 sample_moments reduces the full (6, 6, n) arrays of pair products, the
-reference for the ensemble's blocked moments.  euler_covariance is the
-exact stationary covariance of the Euler-Maruyama scheme on the linearized
-equations, the prediction of the ensemble's step bias.
+reference for the ensemble's blocked moments.  principal_sqrt is glibc's
+complex square root formula element by element, the reference for the root
+that wide ensembles take in place.  euler_covariance is the exact stationary
+covariance of the Euler-Maruyama scheme on the linearized equations, the
+prediction of the ensemble's step bias.
 """
 
 import csv
@@ -142,6 +144,23 @@ def sample_moments(v):
     w = v - means[:, None]
     return (means, means_se, *_mean_and_stderr(v[:, None, :] * v[None, :, :]),
             *_mean_and_stderr(w[:, None, :] * w[None, :, :]))
+
+
+def principal_sqrt(z):
+    """The principal square root of each element of z by glibc's csqrt
+    formula, with |z| from np.abs: u = sqrt(0.5 (|z| + |Re z|)) and
+    v = 0.5 (Im z / u) give u + i v where Re z > 0 and
+    |v| + i copysign(u, Im z) elsewhere.  Where u is NaN or outside
+    [2**-510, 2**510], the range in which glibc neither rescales nor
+    special-cases, the element is np.sqrt's."""
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(all="ignore"):
+        u = np.sqrt(0.5 * (np.abs(z) + np.abs(z.real)))
+        v = 0.5 * (z.imag / u)
+        root = np.empty_like(z)
+        root.real = np.where(z.real > 0, u, np.abs(v))
+        root.imag = np.where(z.real > 0, v, np.copysign(u, z.imag))
+        return np.where((u >= 2.0**-510) & (u <= 2.0**510), root, np.sqrt(z))
 
 
 def euler_covariance(A, D, dt):

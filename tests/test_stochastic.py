@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import first_order_mean_shift, interleaved_drift
-from oracles import euler_covariance, sample_moments
+from oracles import euler_covariance, principal_sqrt, sample_moments
 from harmoniccascade import (REGIME_PRESETS, FieldState, SystemParams,
                              run_ensemble, stochastic)
 from harmoniccascade.model import doubled_drift, noise_variances
@@ -157,9 +157,12 @@ def test_stacked_step_matches_row_by_row_equations_bit_for_bit(case):
     # noise, an unconjugated pump or a reordered operation would move the
     # sampled moments.  Bytes are compared, so a sign of zero counts too;
     # every field stochastic.csv writes is compared, against the reduction
-    # of the full (6, 6, n) product arrays in oracles.sample_moments.
+    # of the full (6, 6, n) product arrays in oracles.sample_moments.  From
+    # _PIPELINE_MIN_TRAJ trajectories on the step's root is glibc's formula
+    # with numpy's |z|, oracles.principal_sqrt; below it, np.sqrt.
     p, kw, s0 = _STEP_CASES[case]
     dt, n = kw["dt"], kw["n_traj"]
+    root = principal_sqrt if n >= stochastic._PIPELINE_MIN_TRAJ else np.sqrt
     n_steps = stochastic.step_count(dt, kw["t_end"])
     m = run_ensemble(p, initial=s0, **kw)
     rng = make_rng(kw["seed"])
@@ -172,7 +175,7 @@ def test_stacked_step_matches_row_by_row_equations_bit_for_bit(case):
         for step in range(1, n_steps + 1):
             (va1, va2), (vb1, vb2) = (noise_variances(a, p),
                                       noise_variances(b, p))
-            kicks = [np.sqrt(v) * (np.sqrt(dt) * w) for v, w in
+            kicks = [root(v) * (np.sqrt(dt) * w) for v, w in
                      zip((va1, vb1, va2, vb2), rng.standard_normal((4, n)))]
             for row, drift in zip((*a, *b), doubled_drift(a, b, p)):
                 row += drift * dt
@@ -193,6 +196,70 @@ def test_stacked_step_matches_row_by_row_equations_bit_for_bit(case):
         assert getattr(m, name).tobytes() == np.array(values).tobytes(), name
     assert m.divergent == n - alive.sum()
     assert m.divergent == _DIVERGENT.get(case, 0)
+
+
+def _root(z: np.ndarray) -> np.ndarray:
+    """stochastic._principal_sqrt of a copy of z, with scratch of its own."""
+    out = np.array(z, dtype=complex)
+    u, v = np.empty((2, *out.shape))
+    with np.errstate(all="ignore"):
+        stochastic._principal_sqrt(out, u, v,
+                                   np.empty((3, *out.shape), dtype=bool))
+    return out
+
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # distance in units in the last place of each part of same-sign values
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_principal_sqrt_stays_within_ulps_of_np_sqrt(regime1, ss1):
+    # Wide ensembles take the root in place, by glibc's csqrt formula with
+    # numpy's SIMD complex abs in place of libm's hypot.  The abs is up to
+    # 2 ulp from hypot, which moves a part of the root by at most 3 ulp from
+    # np.sqrt across magnitudes (3 of 10^6 random values) and at most 2 near
+    # the negative real axis, where kappa1 alpha2 sits at the steady state,
+    # and on a 10^4-trajectory state 600 steps past it.  The in-place root
+    # must also be the bytes of oracles.principal_sqrt, its transcription.
+    rng = make_rng(11)
+    n = 200_000
+    anywhere = 10.0 ** rng.uniform(-150, 150, n) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, n))
+    near_axis = -10.0 ** rng.uniform(-3, 3, n) * (
+        1 + 1j * rng.choice([-1, 1], n) * 10.0 ** rng.uniform(-17, -1, n))
+    s = np.tile(ss1.state.doubled().reshape(3, 2, 1), (1, 1, 10_000))
+    step = stochastic._euler_step(s, regime1, 2e-3)
+    for noise in stochastic._noise_chunks(rng, 10_000, 600, 2e-3, 1):
+        for block in noise:
+            step(block)
+    state = np.array([regime1.kappa1, regime1.kappa2])[:, None, None] * s[1:]
+    for z, bound in ((anywhere, 3), (near_axis, 2), (state, 2)):
+        got = _root(z)
+        assert got.tobytes() == principal_sqrt(z).tobytes()
+        assert _ulps(got, np.sqrt(z)).max() <= bound
+
+
+def test_principal_sqrt_is_np_sqrt_on_zeros_infinities_nans_and_reals():
+    # Signed zeros, infinities and NaNs in either part, subnormal and huge
+    # |z| (np.sqrt's elements there) and reals with a signed zero imaginary
+    # part come out as np.sqrt's bytes.  The formula takes a normal |z| with
+    # a finite nonzero Im z, pure imaginary values too, where glibc has a
+    # branch of its own: those stay within the ulp bound.  Each set is one
+    # call, so the range check on a set of normal values alone is seen.
+    parts = (0.0, -0.0, 1.0, -4.0, 5e-324, -1e-310, 2.0**1022, -1e308,
+             np.inf, -np.inf, np.nan)
+    rng = make_rng(12)
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 1000)))
+    for z in (np.array([complex(a, b) for a in parts for b in parts]),
+              10.0 ** rng.uniform(-323, -308, 1000) * phases[0],
+              2.0 ** rng.uniform(1021.01, 1023.99, 1000) * phases[1]):
+        size = np.abs(z)
+        formula = (np.isfinite(z.imag) & (z.imag != 0)
+                   & (size >= 2.0**-1020) & (size <= 2.0**1020))
+        got = _root(z)
+        assert got.tobytes() == principal_sqrt(z).tobytes()
+        assert got[~formula].tobytes() == np.sqrt(z[~formula]).tobytes()
+        assert _ulps(got[formula], np.sqrt(z[formula])).max(initial=0) <= 3
 
 
 def test_moments_hold_under_four_times_the_live_state():
@@ -392,10 +459,10 @@ class _DrawLog:
 def noise_path(monkeypatch):
     """Select how run_ensemble draws its noise; returns the run's draw log.
 
-    Pipelined runs set the width constant to one trajectory and report two
-    usable cores, so a single-core host takes that path too.  The constant
-    also sets the step's operand layout, so pipelined runs broadcast the
-    operands and serial runs hold them at full shape.
+    Both paths set the width constant to one trajectory, so both take the
+    wide step (broadcast operands, _principal_sqrt), and the usable cores
+    choose the path: two take the worker, on a single-core host too, and
+    one draws serially.  The narrow _STEP_CASES cover the full-shape step.
     """
     def select(pipelined: bool) -> _DrawLog:
         log = _DrawLog(None)
@@ -405,9 +472,9 @@ def noise_path(monkeypatch):
             return log
 
         monkeypatch.setattr(stochastic, "make_rng", logged_rng)
-        monkeypatch.setattr(stochastic, "_PIPELINE_MIN_TRAJ",
-                            1 if pipelined else 10**9)
-        monkeypatch.setattr(stochastic, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(stochastic, "_PIPELINE_MIN_TRAJ", 1)
+        monkeypatch.setattr(stochastic, "_usable_cores",
+                            lambda: 2 if pipelined else 1)
         return log
 
     return select
