@@ -46,9 +46,9 @@ give bit-identical results on one numpy build and CPU.  Blocks are drawn
 several steps per generator call (_chunk_length: at most _CHUNK_STEPS steps
 and _CHUNK_NORMALS normals), which yields the same stream as one call per
 step.
-Ensembles of at least _PIPELINE_MIN_TRAJ trajectories, on a host with two or
-more usable cores, take each chunk on one worker thread (_ahead) while the
-main thread integrates the one before.  That changes which thread makes the
+On a host with two or more usable cores, every ensemble takes each chunk on
+one worker thread (_ahead) while the main thread integrates the one before,
+whichever step layout it takes.  That changes which thread makes the
 generator calls, not the calls or their order, so the stream and every
 result are unchanged.
 """
@@ -78,35 +78,24 @@ __all__ = [
 _AMPLITUDE_CAP = 1e6
 # Fraction of divergent trajectories above which results are unreliable.
 _DIVERGENCE_BUDGET = 0.01
-# Ensemble width that makes three choices.  From it on, the noise is drawn
-# on a worker thread (with two or more usable cores), the step's constant
-# operands stay broadcast vectors and the root is _principal_sqrt; below it
-# the noise is drawn serially, the operands are held at full shape and the
-# root is np.sqrt.  Regime 1 from the steady state, 400 steps, 2-core
-# shared host, paired medians of 10 alternating runs, narrow run time over
-# wide: 0.89x at 300 trajectories, 1.31x and 1.36x at 1000, 1.44x and 1.74x
-# at 2000, 1.63x and 1.73x at 2500, 1.94x and 2.17x at 5000 (two passes).
-# The wide step wins from 1000 on; the width stays at 2500 so that every run
-# below it, the CLI's default 1000 trajectories included, keeps its bits.
+# Ensemble width from which the step's constant operands stay broadcast
+# vectors and the root is _principal_sqrt; below it they are held at full
+# shape and the root is np.sqrt.  The wide step is faster from about 1000
+# trajectories on; the width stays at 2500 so that narrower runs keep their
+# bits (timings in CHANGES).
 _PIPELINE_MIN_TRAJ = 2500
 # Steps of noise drawn by one generator call, as one (m, 4, n_traj) array.
 # The generator keeps no state between calls but its Philox counter, so a
-# chunk holds exactly the blocks that m calls of (4, n_traj) would return.
-# A block per call woke the worker at every step, and each late wake-up on
-# a shared host stalled the main thread.  Eight alternating runs of the
-# 10^4-trajectory benchmark workload on a 2-core host: throughput quartiles
-# spread by 13% of the median drawing per step, 10% drawing 8 steps per
-# call, at equal medians.
-_CHUNK_STEPS = 8
-# Normals drawn by one generator call at most, 640 KB per buffer: 8-step
-# chunks up to 2500 trajectories, 2-step ones at 10^4.  Two 8-step buffers
-# held 5 MB at 10^4 trajectories, near half a run's traced peak; 2-step
-# chunks there won 6 of 12 alternating timed pairs against 8-step ones.
+# chunk holds exactly the blocks that m calls of (4, n_traj) would return;
+# fewer, larger calls wake the worker less often.
+_CHUNK_STEPS = 32
+# Normals drawn by one generator call at most, 640 KB per buffer: 32-step
+# chunks up to 625 trajectories, 8-step ones at 2500 and 2-step ones at
+# 10^4, so the buffers stay small beside the state.
 _CHUNK_NORMALS = 80_000
 # Bytes of one block of complex products that a sample reduces at once:
 # b = max(1, min(6, _SAMPLE_BYTES // (16 * n_live))) rows per block, all six
-# up to 1,666 live columns and one from 10^4.  One-row blocks at 10^4
-# trajectories cut a sample's traced peak from 2.5 to 0.6 times the state.
+# up to 1,666 live columns and one from 10^4.
 _SAMPLE_BYTES = 160_000
 
 
@@ -156,8 +145,7 @@ def _noise_chunks(rng: np.random.Generator, n_traj: int, n_steps: int,
     last one may be shorter), each one generator call into the next of
     n_buffers reused buffers, scaled in place and valid until n_buffers more
     are taken.  The buffers are made by this call, on the caller's thread; a
-    worker would put them in its own malloc arena, which added 5 MB to the
-    10^4-trajectory benchmark's peak RSS with 8-step buffers."""
+    worker would put them in its own malloc arena and raise the peak RSS."""
     m = _chunk_length(n_traj, n_steps)
     buffers = np.empty((n_buffers, m, 4, n_traj))
     sqrt_dt = np.sqrt(dt)
@@ -389,7 +377,7 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
     s = np.tile(initial.doubled().reshape(3, 2, 1), (1, 1, n_traj))
     step_once = _euler_step(s, p, dt)
     alive = np.ones(n_traj, dtype=bool)
-    pipelined = n_traj >= _PIPELINE_MIN_TRAJ and _usable_cores() >= 2
+    pipelined = _usable_cores() >= 2
     chunks = _noise_chunks(make_rng(seed), n_traj, n_steps, dt,
                            2 if pipelined else 1)
 

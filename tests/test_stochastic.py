@@ -128,8 +128,9 @@ _STEP_CASES = {
     "divergence_budget": (SystemParams(0.06, 0.24, 105.0, 1.0, 0.5, 0.5),
                           dict(dt=1e-2, t_end=5.0, n_traj=200, seed=3,
                                strict=False), FieldState.vacuum()),
-    # broadcast operands, and pipelined noise on a multi-core host; every
-    # case above holds the operands at full shape
+    # broadcast operands, from _PIPELINE_MIN_TRAJ trajectories on; every
+    # case above holds them at full shape.  On a multi-core host the noise
+    # worker draws for every case, whatever layout.
     "wide_layout": (replace(REGIME_PRESETS[2], epsilon=60.0 - 85.0j),
                     dict(dt=1e-3, t_end=12e-3,
                          n_traj=stochastic._PIPELINE_MIN_TRAJ, seed=5), _S0),
@@ -459,10 +460,9 @@ class _DrawLog:
 def noise_path(monkeypatch):
     """Select how run_ensemble draws its noise; returns the run's draw log.
 
-    Both paths set the width constant to one trajectory, so both take the
-    wide step (broadcast operands, _principal_sqrt), and the usable cores
-    choose the path: two take the worker, on a single-core host too, and
-    one draws serially.  The narrow _STEP_CASES cover the full-shape step.
+    The usable cores choose the path: two take the worker, on a single-core
+    host too, and one draws serially.  The step is the one of the run's
+    width: full shape below _PIPELINE_MIN_TRAJ, broadcast from it on.
     """
     def select(pipelined: bool) -> _DrawLog:
         log = _DrawLog(None)
@@ -472,7 +472,6 @@ def noise_path(monkeypatch):
             return log
 
         monkeypatch.setattr(stochastic, "make_rng", logged_rng)
-        monkeypatch.setattr(stochastic, "_PIPELINE_MIN_TRAJ", 1)
         monkeypatch.setattr(stochastic, "_usable_cores",
                             lambda: 2 if pipelined else 1)
         return log
@@ -480,15 +479,26 @@ def noise_path(monkeypatch):
     return select
 
 
-@pytest.mark.parametrize("case", ["mid_run_samples", "divergence_budget"])
+@pytest.mark.parametrize("case", ["mid_run_samples", "divergence_budget",
+                                  "divergence_budget_broadcast",
+                                  "full_shape_300", "full_shape_1000"])
 def test_serial_and_pipelined_noise_agree_bit_for_bit(case, regime1,
-                                                      noise_path):
+                                                      noise_path, monkeypatch):
+    # Every width keeps its bits with the worker: the full-shape step at
+    # 64, 200, 300 and 1000 trajectories (32- and 20-step chunks), and the
+    # broadcast step with divergent trajectories parked.
+    p = regime1
     if case == "mid_run_samples":
-        p = regime1
         kw = dict(dt=1e-3, t_end=0.5, n_traj=64, seed=9)
-    else:  # the setup of test_divergence_budget_enforced
+    elif case.startswith("divergence_budget"):
+        # the setup of test_divergence_budget_enforced
         p = SystemParams(0.06, 0.24, 105.0, 1.0, 0.5, 0.5)
         kw = dict(dt=1e-2, t_end=5.0, n_traj=200, seed=3, strict=False)
+        if case.endswith("broadcast"):
+            monkeypatch.setattr(stochastic, "_PIPELINE_MIN_TRAJ", 1)
+    else:  # the cli_modes settings, over a shorter run
+        kw = dict(dt=2e-3, t_end=0.5, n_traj=int(case.split("_")[-1]),
+                  seed=5)
     n_steps = stochastic.step_count(kw["dt"], kw["t_end"])
     runs = {}
     for pipelined in (False, True):
@@ -500,24 +510,25 @@ def test_serial_and_pipelined_noise_agree_bit_for_bit(case, regime1,
         assert not any(on_main) if pipelined else all(on_main)
     serial, pipelined = runs[False], runs[True]
     for name in _MOMENT_FIELDS:
-        np.testing.assert_array_equal(getattr(serial, name),
-                                      getattr(pipelined, name))
+        assert (getattr(serial, name).tobytes()
+                == getattr(pipelined, name).tobytes()), name
     assert serial.divergent == pipelined.divergent
-    if case == "divergence_budget":
+    if case.startswith("divergence_budget"):
         assert pipelined.divergent == 31
 
 
 @pytest.mark.parametrize("pipelined", [False, True])
-@pytest.mark.parametrize("n_steps", [1, 8, 21])
+@pytest.mark.parametrize("n_steps", [1, 8, 21, 45])
 def test_noise_chunks_give_one_block_per_step_stream(pipelined, n_steps):
     # Drawing and scaling several steps per generator call must return
     # exactly the scaled blocks of one (4, n_traj) call per step, the
     # expression of the row-by-row reference, also for a short last chunk;
     # taken ahead on a worker, the second buffer keeps each chunk intact.
-    # The 80,000-normal cap gives 2-step chunks at 10^4 trajectories and
-    # 1-step ones past 20,000.
+    # The 80,000-normal cap gives 20-step chunks at 1000 trajectories,
+    # 2-step ones at 10^4 and 1-step ones past 20,000.
     dt = 2e-3
-    for n_traj, steps_per_call in ((5, 8), (10_000, 2), (20_001, 1)):
+    for n_traj, steps_per_call in ((5, 32), (300, 32), (1000, 20),
+                                   (10_000, 2), (20_001, 1)):
         chunks = stochastic._noise_chunks(make_rng(21), n_traj, n_steps, dt,
                                           2 if pipelined else 1)
         with ThreadPoolExecutor(1) as worker:
