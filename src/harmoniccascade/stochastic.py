@@ -1,56 +1,32 @@
 """Ensemble integrator for the full doubled-phase-space stochastic equations.
 
-Each mode contributes an independent pair (alpha_i, alpha_i_plus); noise
-enters the first two modes with amplitude-dependent coefficients whose
-squares form the diffusion matrix of the linearized module, and the third
-mode is noiseless.  Ensemble averages of products converge to normally
-ordered expectation values, which is what makes this module an independent
-oracle for the deterministic steady states and the linearized covariances.
+The ensemble is one complex (3, 2, n_traj) array s with s[i] = (alpha_i,
+alpha_i_plus), the order of FieldState.doubled().  The alpha_plus equations
+are the alpha equations with the halves swapped and the pump conjugated, so
+a step treats both halves in one array operation.  Noise enters the first
+two modes with amplitude-dependent coefficients whose squares form the
+diffusion matrix of the linearized module; the third mode is noiseless.
+Ensemble averages of products converge to normally ordered expectation
+values, which makes this module an independent oracle for the steady states
+and the linearized covariances.
 
-Scheme: Euler-Maruyama with fixed step.  The drift is not globally
-Lipschitz, so trajectories can escape to infinity in finite time; amplitudes
-beyond a hard cap are classified as divergent and excluded from averages
-rather than silently integrated on.  The ensemble is one (3, 2, n_traj)
-array s with s[i] = (alpha_i, alpha_i_plus), the order of
-FieldState.doubled(): the alpha_plus equations are the alpha equations with
-the halves swapped and the pump conjugated, so the step does each operation
-of model.doubled_drift and noise_variances as one ufunc call over both halves
-into arrays made once per run, with their per-element arithmetic bit for
-bit (test_stacked_step_matches_row_by_row_equations_bit_for_bit).  Outputs
-are passed positionally and the noise arrives scaled by sqrt(dt).  A step
-takes the noise variances kappa x from the pre-step state, adds the drift,
-then takes the variances' square roots in the drift array's scratch.  Below
-_PIPELINE_MIN_TRAJ trajectories the constant operands are held at their
-partners' full shape and the root is np.sqrt (glibc's csqrt, one element at
-a time).  Wider ensembles broadcast the operands and take the root by
-glibc's formula in whole-array real arithmetic (_principal_sqrt), with |z|
-from numpy's SIMD complex abs: a part differs from np.sqrt by at most 3 ulp
-(2 on the ensemble's own values), so wide runs move at roundoff against
-versions that took np.sqrt there.
+The drift is not globally Lipschitz, so trajectories can escape to infinity
+in finite time.  Every 200 steps and at each sample, a column with an
+amplitude beyond _AMPLITUDE_CAP (or NaN) is counted divergent, set to zero
+and left out of every later sample.
 
-Each sample reduces the live columns to their means, pair products and
-fluctuation covariance in blocks of products x[i] * x[j:j+b] of at most
-_SAMPLE_BYTES (or one row j).  It reads the state in place, and after a
-divergence copies the live columns of one block or row at a time; the
-deviations from the means are formed block by block too.  So no temporary
-is larger than one block of products, where whole (6, 6, n_live) product
-arrays held 10 times the live state, and every moment is bit for bit that
-of the whole arrays.  The divergence check takes magnitudes one mode at a
-time.
+Stream contract: the generator is Philox keyed by the seed, and a run
+consumes one (4, n_traj) block of standard normals per step, rows ordered as
+the noises on (alpha_1, alpha_1_plus, alpha_2, alpha_2_plus).  Identical
+seed and settings give bit-identical results on one numpy build and CPU,
+however many blocks one generator call draws and on whichever thread.
 
-Reproducibility contract, kept by _noise_chunks: the generator is
-counter-based (Philox keyed by the seed) and the run consumes one (4, n_traj)
-block of standard normals per time step, rows ordered as the noises on
-(alpha_1, alpha_1_plus, alpha_2, alpha_2_plus).  Identical seed and settings
-give bit-identical results on one numpy build and CPU.  Blocks are drawn
-several steps per generator call (_chunk_length: at most _CHUNK_STEPS steps
-and _CHUNK_NORMALS normals), which yields the same stream as one call per
-step.
-On a host with two or more usable cores, every ensemble takes each chunk on
-one worker thread (_ahead) while the main thread integrates the one before,
-whichever step layout it takes.  That changes which thread makes the
-generator calls, not the calls or their order, so the stream and every
-result are unchanged.
+Which widths keep their bits: below _WIDE_STEP_MIN_TRAJ trajectories a step
+is the arithmetic of model.doubled_drift and noise_variances bit for bit,
+with np.sqrt as the root.  From that width on the root is _principal_sqrt,
+within 3 ulp of np.sqrt, so wide runs differ at roundoff from a step with
+np.sqrt.  At every width a sample is bit for bit the reduction of the whole
+(6, 6, n) pair-product arrays.
 """
 
 from __future__ import annotations
@@ -78,12 +54,10 @@ __all__ = [
 _AMPLITUDE_CAP = 1e6
 # Fraction of divergent trajectories above which results are unreliable.
 _DIVERGENCE_BUDGET = 0.01
-# Ensemble width from which the step's constant operands stay broadcast
-# vectors and the root is _principal_sqrt; below it they are held at full
-# shape and the root is np.sqrt.  The wide step is faster from about 1000
-# trajectories on; the width stays at 2500 so that narrower runs keep their
-# bits (timings in CHANGES).
-_PIPELINE_MIN_TRAJ = 2500
+# Ensemble width from which _euler_step takes its wide layout and root.  The
+# wide step is faster from about 1000 trajectories on; the width stays at
+# 2500 so that narrower runs, the CLI default among them, keep their bits.
+_WIDE_STEP_MIN_TRAJ = 2500
 # Steps of noise drawn by one generator call, as one (m, 4, n_traj) array.
 # The generator keeps no state between calls but its Philox counter, so a
 # chunk holds exactly the blocks that m calls of (4, n_traj) would return;
@@ -211,10 +185,10 @@ def _euler_step(s: np.ndarray, p: SystemParams, dt: float):
     allocates nothing and passes every output positionally.  The noise
     variances kappa x come from the pre-step state (Ito reading, which the
     equations' form makes equivalent to Stratonovich for these moments) and
-    their roots are taken once the drift is added: from _PIPELINE_MIN_TRAJ
-    trajectories on by _principal_sqrt, in scratch carved out of the drift
-    array.  Below that width the rates, couplings and pumps are held at
-    their partners' full shape; wider ensembles broadcast them."""
+    their roots are taken once the drift is added.  Below _WIDE_STEP_MIN_TRAJ
+    trajectories the rates, couplings and pumps are held at their partners'
+    full shape and the root is np.sqrt; wider ensembles broadcast them and
+    take _principal_sqrt in scratch carved out of the drift array."""
     x12, x23, y12 = s[:2], s[1:], s[:2, ::-1]
     drift = np.empty_like(s)
     pair = np.empty_like(x23)
@@ -223,7 +197,7 @@ def _euler_step(s: np.ndarray, p: SystemParams, dt: float):
     kappa = np.array([p.kappa1, p.kappa2], complex)[:, None, None]
     half_kappa = 0.5 * kappa
     e = np.array([[p.epsilon], [np.conj(p.epsilon)]], dtype=complex)
-    if s.shape[-1] < _PIPELINE_MIN_TRAJ:
+    if s.shape[-1] < _WIDE_STEP_MIN_TRAJ:
         rates, kappa, half_kappa, e = (
             np.broadcast_to(v, like.shape).copy() for v, like in
             ((rates, s), (kappa, pair), (half_kappa, pair), (e, d0)))
@@ -255,61 +229,42 @@ def _euler_step(s: np.ndarray, p: SystemParams, dt: float):
     return step
 
 
-def _mean_and_stderr(values: np.ndarray):
-    # values: (..., n) complex over trajectories; stderr is packed with the
-    # real part's standard error in .real and the imaginary part's in .imag.
-    n = values.shape[-1]
-    mean = values.mean(axis=-1)
-    if n < 2:
-        se = np.zeros_like(mean)
-    else:
-        se = (values.real.std(axis=-1, ddof=1)
-              + 1j * values.imag.std(axis=-1, ddof=1)) / np.sqrt(n)
-    return mean, se
-
-
-def _pair_moments(rows, b: int) -> tuple:
-    # The (6, 6) means of x[i] * x[j] over the columns of x and their
-    # stderr, where rows(lo, hi) returns x[lo:hi], for b columns j at a
-    # time: each block x[lo:lo+b] is taken once, and each row outside it
-    # once per block.  Each product row reduces as the same row of the
-    # (6, 6, n) product would.  Every [i, j] is computed: the SIMD complex
-    # multiply is not bitwise commutative, so mirroring [i, j] into [j, i]
-    # would change the last bits.
-    mean, se = np.empty((2, 6, 6), complex)
-    for lo in range(0, 6, b):
-        block = rows(lo, lo + b)
-        for i in range(6):
-            row = block[i - lo] if lo <= i < lo + b else rows(i, i + 1)[0]
-            mean[i, lo:lo + b], se[i, lo:lo + b] = _mean_and_stderr(
-                row * block)
-    return mean, se
-
-
-def _moments(v: np.ndarray, alive: np.ndarray | None = None) -> tuple:
+def _moments(v: np.ndarray, alive: np.ndarray) -> tuple:
     """Means, pair products and fluctuation covariance of the columns of the
-    (6, n) doubled state v that the mask alive keeps (all by default), each
-    followed by its stderr; products are taken one block of rows at a
-    time, of at most _SAMPLE_BYTES or else one row."""
-    n = v.shape[1] if alive is None else int(np.count_nonzero(alive))
+    (6, n) doubled state v that the mask alive keeps, each followed by its
+    stderr.  The products of each row with rows lo:lo+b are reduced one
+    block of at most _SAMPLE_BYTES (or one row) at a time: each block of
+    rows is read once, and each row outside it once per block."""
+    n = int(np.count_nonzero(alive))
     if n == 0:
         raise ExcessiveDivergence("all trajectories diverged")
     b = max(1, min(6, _SAMPLE_BYTES // (16 * n)))
+    means = np.zeros((2, 6), complex)         # means, stderr
+    pairs = np.zeros((2, 2, 6, 6), complex)   # [centred] means, stderr
 
-    def live(lo: int, hi: int) -> np.ndarray:
-        # a C-ordered copy (unlike [:, alive]): rows sum in the same order
-        return v[lo:hi] if alive is None else v[lo:hi].compress(alive, axis=1)
+    def rows(lo: int, hi: int, centred: int) -> np.ndarray:
+        # in place while every column lives; else a C-ordered copy (unlike
+        # [:, alive]), so that rows sum in the same order
+        x = v[lo:hi] if n == v.shape[1] else v[lo:hi].compress(alive, axis=1)
+        return x - means[0, lo:hi, None] if centred else x
 
-    means, means_se = np.empty((2, 6), complex)
-    for lo in range(0, 6, b):
-        means[lo:lo + b], means_se[lo:lo + b] = _mean_and_stderr(
-            live(lo, lo + b))
+    def reduce(values: np.ndarray, mean: np.ndarray, se: np.ndarray) -> None:
+        # se = SE(real) + 1j SE(imag) over the last axis; zero for one column
+        mean[...] = values.mean(axis=-1)
+        if n > 1:
+            se[...] = (values.real.std(axis=-1, ddof=1)
+                       + 1j * values.imag.std(axis=-1, ddof=1)) / np.sqrt(n)
 
-    def deviations(lo: int, hi: int) -> np.ndarray:
-        return live(lo, hi) - means[lo:hi, None]
-
-    return (means, means_se, *_pair_moments(live, b),
-            *_pair_moments(deviations, b))
+    for centred in (0, 1):
+        for lo in range(0, 6, b):
+            block = rows(lo, lo + b, centred)
+            if not centred:
+                reduce(block, *means[:, lo:lo + b])
+            for i in range(6):
+                row = (block[i - lo] if lo <= i < lo + b
+                       else rows(i, i + 1, centred)[0])
+                reduce(row * block, *pairs[centred, :, i, lo:lo + b])
+    return (*means, *pairs[0], *pairs[1])
 
 
 @dataclass(frozen=True)
@@ -351,9 +306,8 @@ class EnsembleMoments:
         return complex(self.second_doubled[-1, 2 * (i - 1) + 1, 2 * (j - 1)])
 
 
-def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
-                 n_traj: int = 1000, seed: int = 0,
-                 initial: FieldState | None = None,
+def run_ensemble(p: SystemParams, dt: float, t_end: float, n_traj: int,
+                 seed: int = 0, initial: FieldState | None = None,
                  strict: bool = True) -> EnsembleMoments:
     """Integrate an ensemble and return its moment statistics.
 
@@ -400,8 +354,7 @@ def run_ensemble(p: SystemParams, dt: float = 1e-4, t_end: float = 50.0,
                     # park escaped columns so they stop producing overflow
                     s[..., newly_dead] = 0
             if sampled:
-                samples.append(_moments(s.reshape(6, n_traj),
-                                        None if alive.all() else alive))
+                samples.append(_moments(s.reshape(6, n_traj), alive))
     means, means_se, m2, m2_se, fcov, fcov_se = map(np.array, zip(*samples))
 
     divergent = int(n_traj - alive.sum())

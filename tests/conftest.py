@@ -1,9 +1,9 @@
 """Shared fixtures: steady states, spectra grids and the large ensemble run.
 
 Everything expensive is session-scoped so the full suite pays for each
-computation once.  The flagship ensemble (10^4 trajectories) takes on the
-order of two minutes on one core and is only requested by the tests that
-need that statistical weight.
+computation once.  The flagship ensemble (10^4 trajectories, 50,000 steps)
+takes about 45 s on a two-core host, over half of the suite, and is only
+requested by the tests that need that statistical weight.
 """
 
 import numpy as np
@@ -100,7 +100,7 @@ def lyap2(dd2):
 
 @pytest.fixture(scope="session")
 def small_ensemble(regime1):
-    # dt coarser than the module default: the dt-halving test in
+    # dt coarser than the flagship's 1e-3: the dt-halving test in
     # test_stochastic shows the Euler bias sits below one standard error.
     return run_ensemble(regime1, dt=2e-3, t_end=40.0, n_traj=600, seed=7)
 

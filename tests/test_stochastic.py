@@ -128,12 +128,12 @@ _STEP_CASES = {
     "divergence_budget": (SystemParams(0.06, 0.24, 105.0, 1.0, 0.5, 0.5),
                           dict(dt=1e-2, t_end=5.0, n_traj=200, seed=3,
                                strict=False), FieldState.vacuum()),
-    # broadcast operands, from _PIPELINE_MIN_TRAJ trajectories on; every
+    # broadcast operands, from _WIDE_STEP_MIN_TRAJ trajectories on; every
     # case above holds them at full shape.  On a multi-core host the noise
     # worker draws for every case, whatever layout.
     "wide_layout": (replace(REGIME_PRESETS[2], epsilon=60.0 - 85.0j),
                     dict(dt=1e-3, t_end=12e-3,
-                         n_traj=stochastic._PIPELINE_MIN_TRAJ, seed=5), _S0),
+                         n_traj=stochastic._WIDE_STEP_MIN_TRAJ, seed=5), _S0),
     # wide enough for the size cap to bind: 4-step chunks, a 2-step last one
     "capped_chunks": (replace(REGIME_PRESETS[2], epsilon=60.0 - 85.0j),
                       dict(dt=1e-3, t_end=14e-3, n_traj=5000, seed=6), _S0),
@@ -159,11 +159,11 @@ def test_stacked_step_matches_row_by_row_equations_bit_for_bit(case):
     # sampled moments.  Bytes are compared, so a sign of zero counts too;
     # every field stochastic.csv writes is compared, against the reduction
     # of the full (6, 6, n) product arrays in oracles.sample_moments.  From
-    # _PIPELINE_MIN_TRAJ trajectories on the step's root is glibc's formula
+    # _WIDE_STEP_MIN_TRAJ trajectories on the step's root is glibc's formula
     # with numpy's |z|, oracles.principal_sqrt; below it, np.sqrt.
     p, kw, s0 = _STEP_CASES[case]
     dt, n = kw["dt"], kw["n_traj"]
-    root = principal_sqrt if n >= stochastic._PIPELINE_MIN_TRAJ else np.sqrt
+    root = principal_sqrt if n >= stochastic._WIDE_STEP_MIN_TRAJ else np.sqrt
     n_steps = stochastic.step_count(dt, kw["t_end"])
     m = run_ensemble(p, initial=s0, **kw)
     rng = make_rng(kw["seed"])
@@ -263,47 +263,6 @@ def test_principal_sqrt_is_np_sqrt_on_zeros_infinities_nans_and_reals():
         assert _ulps(got[formula], np.sqrt(z[formula])).max(initial=0) <= 3
 
 
-def test_moments_hold_under_four_times_the_live_state():
-    # Pair moments are reduced one (6, n) row of products at a time, so a
-    # sample holds the deviations, one product row and a real temporary of
-    # std: 2.5 times the state.  Whole (6, 6, n) products would hold 10.
-    x = make_rng(5).standard_normal((2, 6, 10_000))
-    v = x[0] + 1j * x[1]
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        stochastic._moments(v)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * v.nbytes
-
-
-@pytest.mark.parametrize("cores", [2, 1])
-def test_wide_run_holds_under_eight_times_the_state(cores, regime1, ss1,
-                                                    monkeypatch):
-    # At 10^4 trajectories the noise buffers are capped at 2-step chunks
-    # (two 0.64 MB buffers with the worker), and a sample with every column
-    # alive reads the state in place.  With 8-step buffers and a copy of the
-    # state per sample the traced peak was 11.6 times the state with the
-    # worker and 8.9 times serially.
-    monkeypatch.setattr(stochastic, "_usable_cores", lambda: cores)
-    state_bytes = np.empty((6, 10_000), complex).nbytes
-    make_rng(3)  # numpy.random is imported on first use: trace the run alone
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        m = run_ensemble(regime1, dt=2e-3, t_end=16 * 2e-3, n_traj=10_000,
-                         seed=3, initial=ss1.state)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert m.divergent == 0
-    assert peak < 8 * state_bytes
-
-
 # The widest ensemble whose samples reduce all six rows in one block.
 _ONE_BLOCK_MAX = stochastic._SAMPLE_BYTES // (16 * 6)
 
@@ -320,7 +279,7 @@ def test_blocked_moments_match_full_products_bit_for_bit(n, dead):
     x = make_rng(n).standard_normal((2, 6, n))
     v = x[0] + 1j * x[1]
     alive = make_rng(n + 1).random(n) >= dead
-    got = stochastic._moments(v, alive if dead else None)
+    got = stochastic._moments(v, alive)
     for name, a, b in zip(_MOMENT_FIELDS[1:], got,
                           sample_moments(v.compress(alive, axis=1)),
                           strict=True):
@@ -345,7 +304,8 @@ def test_moments_hold_under_the_live_state():
     # 0.6 times the state.  Six-row blocks held 2.5.
     x = make_rng(5).standard_normal((2, 6, 10_000))
     v = x[0] + 1j * x[1]
-    assert _traced_peak(lambda: stochastic._moments(v))[0] < v.nbytes
+    alive = np.ones(10_000, dtype=bool)
+    assert _traced_peak(lambda: stochastic._moments(v, alive))[0] < v.nbytes
 
 
 @pytest.mark.parametrize("cores", [2, 1])
@@ -411,12 +371,10 @@ def test_fixed_seed_bit_identical(regime1):
 
 
 def test_run_ensemble_input_validation(regime1):
-    with pytest.raises(ValueError):
-        run_ensemble(regime1, dt=0.0)
-    with pytest.raises(ValueError):
-        run_ensemble(regime1, t_end=-1.0)
-    with pytest.raises(ValueError):
-        run_ensemble(regime1, n_traj=0)
+    valid = dict(dt=1e-3, t_end=1e-3, n_traj=2)
+    for bad in (dict(dt=0.0), dict(t_end=-1.0), dict(n_traj=0)):
+        with pytest.raises(ValueError):
+            run_ensemble(regime1, **{**valid, **bad})
     # Settings that give no step at all, or no finite step count.
     for dt, t_end in ((1.0, 0.4), (1.0, 0.5), (np.inf, 1.0), (np.nan, 1.0),
                       (1e-3, np.inf), (1e-3, np.nan), (5e-324, 1.0)):
@@ -462,7 +420,7 @@ def noise_path(monkeypatch):
 
     The usable cores choose the path: two take the worker, on a single-core
     host too, and one draws serially.  The step is the one of the run's
-    width: full shape below _PIPELINE_MIN_TRAJ, broadcast from it on.
+    width: full shape below _WIDE_STEP_MIN_TRAJ, broadcast from it on.
     """
     def select(pipelined: bool) -> _DrawLog:
         log = _DrawLog(None)
@@ -495,7 +453,7 @@ def test_serial_and_pipelined_noise_agree_bit_for_bit(case, regime1,
         p = SystemParams(0.06, 0.24, 105.0, 1.0, 0.5, 0.5)
         kw = dict(dt=1e-2, t_end=5.0, n_traj=200, seed=3, strict=False)
         if case.endswith("broadcast"):
-            monkeypatch.setattr(stochastic, "_PIPELINE_MIN_TRAJ", 1)
+            monkeypatch.setattr(stochastic, "_WIDE_STEP_MIN_TRAJ", 1)
     else:  # the cli_modes settings, over a shorter run
         kw = dict(dt=2e-3, t_end=0.5, n_traj=int(case.split("_")[-1]),
                   seed=5)
