@@ -397,8 +397,8 @@ _RUNNERS = {
 MODES = tuple(_RUNNERS)
 
 # Exit code of each error main reports instead of raising.
-_EXIT_CODES = {ConfigParse: 2, NotStationary: 3, IoError: 4,
-               NoThresholdInRange: 5, ExcessiveDivergence: 5,
+_EXIT_CODES = {ConfigParse: 2, NonPositiveRate: 2, NotStationary: 3,
+               IoError: 4, NoThresholdInRange: 5, ExcessiveDivergence: 5,
                NonHermitianResidue: 6}
 
 

@@ -30,7 +30,8 @@ __all__ = [
 
 
 class NonPositiveRate(ValueError):
-    """A coupling or loss rate that must be positive is not."""
+    """A rate that is not positive and finite, a pump that is not finite, or
+    coupling rates out of the steady state's float range."""
 
 
 class NonHermitianResidue(ValueError):

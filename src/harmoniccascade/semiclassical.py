@@ -3,12 +3,11 @@
 The deterministic limit of the doubled-phase-space equations closes on the
 classical manifold alpha_plus = conj(alpha), leaving three complex ODEs.
 Their stationary equations reduce to one strictly increasing scalar equation,
-so every parameter set has exactly one stationary point, found in closed form
-up to one bracketed scalar root: Brent's method with the iterates,
-tolerances and exceptions of scipy.optimize.brentq, ported so that numpy is
-the package's only runtime import.  It counts as stationary only when every
-eigenvalue of the drift matrix there has a positive real part; the same point
-plus eigenvalues tracks the branch past the instability.
+so every parameter set has exactly one stationary point: closed form up to
+one root, bisected to the float next to it.  It counts as stationary only
+when every drift eigenvalue there has a positive real part; the same point
+plus eigenvalues tracks the branch past the instability, whose threshold
+one more bisection locates.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linearized import build_drift
-from .model import FieldState, SystemParams, doubled_drift, validate_params
+from .model import (FieldState, NonPositiveRate, SystemParams,
+                    doubled_drift, validate_params)
 
 __all__ = [
     "SteadyStateResult",
@@ -36,9 +36,6 @@ __all__ = [
 _STATIONARY_TOL = 1e-12
 # Evenly spaced pumps of the threshold scan, ends included.
 _SCAN_POINTS = 33
-# scipy.optimize.brentq's default relative tolerance and iteration limit.
-_BRENT_RTOL = 4 * math.ulp(1.0)
-_BRENT_MAXITER = 100
 
 
 class NotStationary(RuntimeError):
@@ -81,65 +78,18 @@ def _residual_bound(state: FieldState, p: SystemParams) -> float:
     return max(_STATIONARY_TOL, 16 * math.ulp(largest))
 
 
-# A port of Brent's method from scipy/optimize/Zeros/brentq.c, the loop
-# behind scipy.optimize.brentq: the same float64 operations in the same
-# order, so the same iterates, root and exceptions.
-# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
-# SPDX-License-Identifier: BSD-3-Clause
-def _brentq(f, xa: float, xb: float, *, xtol: float) -> float:
-    """Root of f in [xa, xb], as scipy.optimize.brentq(f, xa, xb, xtol=xtol).
-
-    ValueError for a value of f that is NaN or a bracket whose ends have the
-    same sign, RuntimeError after _BRENT_MAXITER iterations.
-    """
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre != fpre or fcur != fcur:
-        raise ValueError("a function value is NaN; solver cannot continue")
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        # the tolerance is 2 delta
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless a short step is tried and taken
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                # C's step is then inf or NaN, as f is nonzero at all three
-                # points, so it bisects.
-                pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry  # good short step
+def _bisect(below, lo: float, hi: float, rtol: float) -> tuple[float, float]:
+    """Halve (lo, hi), below(lo) true and below(hi) false, at 0.5 (lo + hi)
+    until hi - lo <= rtol max(1, |hi|) or no float lies strictly between."""
+    while hi - lo > rtol * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if below(mid):
+            lo = mid
         else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-        if fcur != fcur:
-            raise ValueError("a function value is NaN; solver cannot continue")
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} "
-                       f"iterations, value is {xcur:f}")
+            hi = mid
+    return lo, hi
 
 
 def require_steady_state(p: SystemParams) -> SteadyStateResult:
@@ -162,9 +112,8 @@ def require_steady_state(p: SystemParams) -> SteadyStateResult:
                 f"self-pulsing regime: drift eigenvalue pair {lam.real:.4g} "
                 f"+/- {abs(lam.imag):.4g}i, Hopf frequency "
                 f"{abs(lam.imag):.4g}")
-        raise NotStationary(
-            f"unstable stationary point: real drift eigenvalue "
-            f"{lam.real:.4g}")
+        raise NotStationary("unstable stationary point: real drift "
+                            f"eigenvalue {lam.real:.4g}")
     residual = _residual_of(state, p)
     bound = _residual_bound(state, p)
     if residual > bound:
@@ -187,30 +136,37 @@ def algebraic_steady_state(p: SystemParams) -> FieldState:
     with q = sqrt(8 gamma3) / (kappa1 kappa2) and
     beta = kappa1 sqrt(2 gamma3) / kappa2.  The right side rises strictly
     from 0, so one bracketed root in t gives the only stationary point, with
-    finite amplitudes for every finite pump.  The root is Brent's method with
-    scipy.optimize.brentq's iterates, tolerances (rtol 4 eps, 100
-    iterations) and exceptions; t is exactly 0 for a zero pump.
+    finite amplitudes for every finite pump.  t is the least float at which
+    the right side reaches |epsilon|, found by bisection: 0 for a zero pump.
+    NonPositiveRate refuses rates that put q or beta out of float range.
     """
     validate_params(p)
     # Python floats: their products overflow to inf without a warning.
     k1, k2, g1, g2, g3 = map(float, (p.kappa1, p.kappa2, p.gamma1, p.gamma2,
                                      p.gamma3))
-    q = math.sqrt(8.0 * g3) / (k1 * k2)
+    q = math.sqrt(8.0 * g3) / (k1 * k2) if k1 * k2 else math.inf
     beta = k1 * math.sqrt(2.0 * g3) / k2
+    if not 0 < math.sqrt(q) * beta < math.inf:
+        raise NonPositiveRate(f"kappa1 = {k1:g} and kappa2 = {k2:g} put the "
+                              "steady state's coefficients out of float range")
     e = complex(p.epsilon)
     pump = abs(e)
+    sqrt_g2 = math.sqrt(g2)
 
-    def excess(t: float) -> float:
-        return (math.sqrt(q * t) * math.hypot(math.sqrt(g2), t)
-                * (g1 + beta * t) - pump)
+    def below(t: float) -> bool:
+        # A NaN counts as below, so the root never lands on one.
+        return not (math.sqrt(q * t) * math.hypot(sqrt_g2, t)
+                    * (g1 + beta * t) >= pump)
 
     # Keeping only the gamma2 gamma1 or only the t^2 beta t part of the
     # product gives a lower bound that reaches |epsilon| at each of these,
     # and at twice either clears it by more than roundoff.  Below the
     # 1e-300 floor, where the first bound underflows, t moves no amplitude.
-    t_hi = 2.0 * min(pump * pump / (q * g2 * g1 * g1),
-                     pump ** 0.4 / (math.sqrt(q) * beta) ** 0.4)
-    t = _brentq(excess, 0.0, max(t_hi, 1e-300), xtol=1e-300)
+    t_hi = max(2.0 * min(pump * pump / (q * g2 * g1 * g1),
+                         pump ** 0.4 / (math.sqrt(q) * beta) ** 0.4), 1e-300)
+    if below(t_hi):
+        raise ValueError(f"the steady state's root is not below t = {t_hi:g}")
+    t = _bisect(below, 0.0, t_hi, 0.0)[1]
     a1 = e / (g1 + beta * t)
     # Negated factors first: the products then keep a real pump's amplitudes
     # free of negative zeros, and no intermediate overflows.
@@ -250,17 +206,10 @@ def pulsing_threshold(p: SystemParams,
     if crossing.size == 0:
         raise NoThresholdInRange(
             f"stable throughout [{eps_range[0]}, {eps_range[1]}]")
-    hi_idx = int(crossing[0])
-    lo, hi = float(scan_eps[hi_idx - 1]), float(scan_eps[hi_idx])
-    for _ in range(80):
-        # Width well inside any scan resolution; tighter brackets only
-        # resolve the eigenvalue sign at roundoff for no gain.
-        if hi - lo <= 1e-7 * max(1.0, abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        if stability(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+    i = int(crossing[0])
+    # Bisected to a width well inside any scan resolution; tighter brackets
+    # only resolve the eigenvalue sign at roundoff for no gain.
+    lo, hi = _bisect(lambda eps: stability(eps) > 0,
+                     *scan_eps[i - 1:i + 1].tolist(), 1e-7)
     return ThresholdResult(eps_critical=0.5 * (lo + hi), bracket=(lo, hi),
                            scan_eps=scan_eps, scan_stability=scan_stab)

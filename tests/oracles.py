@@ -3,6 +3,8 @@
 relax_from_vacuum finds the stable stationary state by integrating the
 classical equations of motion forward in time, a route independent of the
 closed form in harmoniccascade.semiclassical.  Tests compare the two.
+brentq_steady_state is that closed form with its root in t taken by
+scipy.optimize.brentq instead of the package's bisection.
 
 write_csv_per_cell writes a CLI artifact one cell at a time through
 csv.writer, the reference for the column writer in harmoniccascade.cli.
@@ -16,10 +18,12 @@ prediction of the ensemble's step bias.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from harmoniccascade import (FieldState, SystemParams, __version__,
                              validate_params)
@@ -96,6 +100,30 @@ def relax_from_vacuum(p: SystemParams, t_max: float = 400.0) -> Relaxation:
         res = _residual_of(_unpack(y), p)
     return Relaxation(state=_unpack(y), residual=res,
                       converged=res <= _STATIONARY_TOL)
+
+
+def brentq_steady_state(p: SystemParams) -> np.ndarray:
+    """alpha1..alpha3 of algebraic_steady_state, with t the root that
+    scipy.optimize.brentq finds (xtol 1e-300, rtol 4 eps) on the same
+    bracket, so within about 4 ulps of the root where the bisection lands
+    within 1."""
+    k1, k2, g1, g2, g3 = map(float, (p.kappa1, p.kappa2, p.gamma1, p.gamma2,
+                                     p.gamma3))
+    q = math.sqrt(8.0 * g3) / (k1 * k2)
+    beta = k1 * math.sqrt(2.0 * g3) / k2
+    e = complex(p.epsilon)
+    pump = abs(e)
+
+    def excess(t):
+        return (math.sqrt(q * t) * math.hypot(math.sqrt(g2), t)
+                * (g1 + beta * t) - pump)
+
+    t_hi = 2.0 * min(pump * pump / (q * g2 * g1 * g1),
+                     pump ** 0.4 / (math.sqrt(q) * beta) ** 0.4)
+    t = brentq(excess, 0.0, max(t_hi, 1e-300), xtol=1e-300)
+    a1 = e / (g1 + beta * t)
+    a2 = -k1 * a1 / (2.0 * (g2 + t * t)) * a1
+    return np.array([a1, a2, -k2 * a2 / (2.0 * g3) * a2])
 
 
 def _cell(value) -> str:

@@ -6,13 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmoniccascade import (
     REGIME_PRESETS,
+    NonPositiveRate,
     NoThresholdInRange,
     NotStationary,
     SystemParams,
@@ -23,7 +23,7 @@ from harmoniccascade import (
 )
 from harmoniccascade.cli import main
 from harmoniccascade.model import doubled_drift
-from oracles import relax_from_vacuum
+from oracles import brentq_steady_state, relax_from_vacuum
 
 # Long-time integration and root-finding agree on these to ~1e-13; frozen
 # from runs cross-checked between both routes.
@@ -158,11 +158,11 @@ def test_routes_agree_beyond_the_presets(kappa1, kappa2, gamma2, gamma3,
 
 
 def test_residual_bound_scales_with_the_largest_drift_term(monkeypatch):
-    # Threshold 1487.4: at this complex pump, 0.92 of it, the exact point's
-    # roundoff leaves 4.5 ulps of the pump, the largest term; an absolute
+    # Threshold 7436.9: at this complex pump, 0.92 of it, the exact point's
+    # roundoff leaves 3.2 ulps of the pump, the largest term; an absolute
     # 1e-12 refused it.
-    eps = complex(1362.2278962951862, -41.68979117524215)
-    p = SystemParams(5e-3, 5e-3, eps, 1.0, 2.0, 0.5)
+    eps = complex(-5481.3467855740355, -4094.688267721263)
+    p = SystemParams(1e-3, 1e-3, eps, 1.0, 2.0, 0.5)
     ss = require_steady_state(p)
     assert 1e-12 < ss.residual <= 16 * math.ulp(abs(p.epsilon))
     bound = semiclassical._residual_bound(ss.state, p)
@@ -235,15 +235,9 @@ def test_threshold_diverges_in_linear_cavity_limit():
         pulsing_threshold(p, (100.0, 5000.0))
 
 
-def _value_or_error(compute):
-    try:
-        return compute()
-    except Exception as exc:
-        return type(exc)
-
-
-# Pumps log-uniform over 1e-300..1e200 on both presets: the closed form's
-# root takes the same iterates with scipy's brentq in place of the port.
+# Pumps log-uniform over 1e-300..1e200 on both presets.  The bisection lands
+# 1 ulp from the root and Brent's method within about 4, so the amplitudes
+# differ by a few eps of their magnitude at most.
 @given(regime=st.sampled_from([1, 2]),
        pump=st.floats(-300.0, 200.0).map(lambda x: 10.0 ** x),
        phase=st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)))
@@ -255,54 +249,68 @@ def _value_or_error(compute):
 @example(regime=1, pump=230.4, phase=0.0)
 @example(regime=2, pump=896.0, phase=0.5)
 @settings(max_examples=300, deadline=None)
-def test_brent_port_matches_scipy_brentq(regime, pump, phase):
+def test_steady_state_matches_the_brentq_oracle(regime, pump, phase):
     p = replace(REGIME_PRESETS[regime], epsilon=pump * np.exp(1j * phase))
-
-    def amplitudes():
-        return algebraic_steady_state(p).alpha.tobytes()
-
-    ported = _value_or_error(amplitudes)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(semiclassical, "_brentq", scipy.optimize.brentq)
-        assert _value_or_error(amplitudes) == ported
+    reference = brentq_steady_state(p)
+    error = np.abs(algebraic_steady_state(p).alpha - reference)
+    assert np.all(error <= 32 * np.finfo(float).eps * np.abs(reference))
 
 
-# Where f is flat in float64 the C loop divides by zero to inf or NaN and
-# bisects; the port must take the same step.
+# Steps and a saturating function, flat in float64 away from their sign
+# change, bracketed from both sides.
 @given(c=st.floats(-10.0, 10.0), lo=st.floats(0.1, 20.0),
-       hi=st.floats(0.1, 20.0), scale=st.sampled_from([1.0, 1e-200]),
-       xtol=st.sampled_from([2e-12, 1e-300]))
+       hi=st.floats(0.1, 20.0), rtol=st.sampled_from([0.0, 1e-7]))
 @settings(max_examples=300, deadline=None)
-def test_brent_port_matches_scipy_on_flat_functions(c, lo, hi, scale, xtol):
+def test_bisect_stops_at_adjacent_floats_or_the_relative_width(c, lo, hi,
+                                                               rtol):
     def steps(x):
-        return scale * (-1.0 if x < c else 0.5 if x < c + 1.0 else 1.0)
+        return -1.0 if x < c else 0.5 if x < c + 1.0 else 1.0
 
-    def saturating(x):
-        return scale * math.tanh(x - c)
+    for f in (steps, lambda x: math.tanh(x - c)):
+        a, b = semiclassical._bisect(lambda x: f(x) < 0, c - lo, c + hi, rtol)
+        assert f(a) < 0 <= f(b)
+        if rtol == 0:
+            assert b == math.nextafter(a, math.inf)
+        else:
+            # Stopped at the first bracket within the width, not later.
+            assert rtol / 4 < (b - a) / max(1.0, abs(b)) <= rtol
 
-    for f in (steps, saturating):
-        ported, reference = (
-            _value_or_error(lambda: solve(f, c - lo, c + hi, xtol=xtol).hex())
-            for solve in (semiclassical._brentq, scipy.optimize.brentq))
-        assert ported == reference
+
+def test_bisect_crosses_a_bracket_1e300_wide():
+    # About 2,000 halvings, where Brent's method stopped after 100.
+    lo, hi = semiclassical._bisect(lambda x: x < 1e-305, -1e300, 3e299, 0.0)
+    assert (lo, hi) == (math.nextafter(1e-305, -math.inf), 1e-305)
 
 
-@pytest.mark.parametrize("f, a, b, error", [
-    (lambda x: x + 1.0, 0.0, 1.0, ValueError),  # ends of one sign
-    (lambda x: math.nan if x == 1.0 else x - 0.5, 0.0, 1.0, ValueError),
-    # bisecting 1e300 down to 1e-305 takes over 100 iterations
-    (lambda x: -1.0 if x < 1e-305 else 1.0, -1e300, 3e299, RuntimeError),
-], ids=["same-sign", "nan", "maxiter"])
-def test_brent_port_raises_as_scipy_does(f, a, b, error):
-    for solver in (semiclassical._brentq, scipy.optimize.brentq):
-        with pytest.raises(error):
-            solver(f, a, b, xtol=1e-300)
+@pytest.mark.parametrize("kappa1, kappa2", [(1e-200, 1e-200),
+                                            (1e-160, 1e-160),
+                                            (1e200, 1e-200)])
+def test_couplings_out_of_float_range_are_refused(kappa1, kappa2, tmp_path):
+    # kappa1 kappa2 underflows, q overflows, or beta does: the closed form
+    # would divide by zero or land on a wrong point, so the rates are
+    # refused as the command line's configuration errors are.
+    p = replace(REGIME_PRESETS[1], kappa1=kappa1, kappa2=kappa2)
+    with pytest.raises(NonPositiveRate, match="out of float range"):
+        algebraic_steady_state(p)
+    config = tmp_path / "rates.toml"
+    config.write_text(f"kappa1 = {kappa1!r}\nkappa2 = {kappa2!r}\n")
+    for mode in ("steady", "threshold"):
+        assert main([mode, "--config", str(config), "--out",
+                     str(tmp_path)]) == 2
+
+
+def test_weak_couplings_inside_the_range_leave_the_pumped_mode_alone():
+    # kappa1 kappa2 = 1e-300 is still a normal float: the harmonics barely
+    # fill and alpha1 is the empty cavity's epsilon / gamma1.
+    p = replace(REGIME_PRESETS[1], kappa1=1e-150, kappa2=1e-150)
+    ss = require_steady_state(p)
+    assert ss.residual <= 1e-12 and ss.state.alpha[0] == p.epsilon
 
 
 def test_package_import_leaves_out_scipy():
-    # numpy is the only runtime dependency: scipy's integrator and Lyapunov
-    # solver are test oracles and the root is a port of its brentq, so the
-    # package and its command line must not load any scipy module.
+    # numpy is the only runtime dependency: scipy's integrator, Lyapunov
+    # solver and brentq are test oracles, so the package and its command
+    # line must not load any scipy module.
     code = ("import sys, harmoniccascade.cli; "
             "print([m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')])")
