@@ -12,7 +12,8 @@ endings: ``# harmoniccascade <version>``, ``# key = value`` settings, the
 comma-joined header, rows of ``%.17g`` floats (the stochastic ``moment``
 column as bare names), then any ``# `` footer lines.  No name or cell holds
 a comma, quote, CR or LF, so nothing is quoted.  Identical configuration
-(including the seed in stochastic mode) yields byte-identical files.
+(including the seed in stochastic mode) yields byte-identical files.  Files
+are written only once every artifact of the mode has been computed.
 """
 
 from __future__ import annotations
@@ -252,22 +253,21 @@ def _key_lines(obj, keys=_PARAM_KEYS) -> list[str]:
     return [f"{key} = {_fmt(getattr(obj, key))}" for key in keys]
 
 
-def _write_csv(path: Path, meta: list[str], columns: dict,
-               footer: list[str] | None = None) -> tuple[Path, dict]:
+def _head(config: RunConfig, *keys: str) -> list[str]:
+    """Meta lines: the mode, the system parameters, then the named settings."""
+    return ([f"mode = {config.mode}"] + _key_lines(config.params)
+            + _key_lines(config, keys))
+
+
+def _csv_text(meta: list[str], columns: dict, footer: list[str]) -> str:
     arrays = [np.asarray(values) for values in columns.values()]
     row = ",".join("%s" if a.dtype.kind == "U" else "%.17g"
                    for a in arrays) + "\n"
-    text = "".join([f"# harmoniccascade {__version__}\n",
+    return "".join([f"# harmoniccascade {__version__}\n",
                     *(f"# {line}\n" for line in meta),
                     ",".join(columns) + "\n",
                     *map(row.__mod__, zip(*(a.tolist() for a in arrays))),
-                    *(f"# {line}\n" for line in footer or ())])
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-    return path, columns
+                    *(f"# {line}\n" for line in footer)])
 
 
 def _spectra_for(p: SystemParams, config: RunConfig):
@@ -309,42 +309,37 @@ _MOMENTS = (
 )
 
 
-def _run_steady(config: RunConfig, out: Path):
+# Each runner yields (file stem, meta, columns, footer) and writes nothing.
+def _run_steady(config: RunConfig):
     ss = require_steady_state(config.params)
     columns = {f"alpha{i}_{part}": [value]
                for i, a in enumerate(ss.state.alpha, 1)
                for part, value in (("re", a.real), ("im", a.imag))}
     columns["residual"] = [ss.residual]
-    meta = ["mode = steady"] + _key_lines(config.params)
-    return [_write_csv(out / "steady.csv", meta, columns)]
+    yield "steady", _head(config), columns, []
 
 
-def _run_spectra(config: RunConfig, out: Path):
+def _run_spectra(config: RunConfig):
     spectra = _spectra_for(config.params, config)
     diagonal = np.diagonal(spectra.s_quad.matrix, axis1=-2, axis2=-1)
     names = [f"v{xy}{mode}" for mode in (1, 2, 3) for xy in "xy"]
     columns = {"omega": spectra.omega, **dict(zip(names, diagonal.T))}
-    meta = (["mode = spectra"] + _key_lines(config.params)
-            + _key_lines(config, _GRID_KEYS))
-    return [_write_csv(out / "spectra.csv", meta, columns)]
+    yield "spectra", _head(config, *_GRID_KEYS), columns, []
 
 
-def _run_correlations(config: RunConfig, out: Path):
-    report = _report_columns(config.params, config)
-    meta = (["mode = correlations"] + _key_lines(config.params)
-            + _key_lines(config, _GRID_KEYS))
-    return [_write_csv(out / "correlations.csv", meta, report)]
+def _run_correlations(config: RunConfig):
+    yield ("correlations", _head(config, *_GRID_KEYS),
+           _report_columns(config.params, config), [])
 
 
-def _run_stochastic(config: RunConfig, out: Path):
+def _run_stochastic(config: RunConfig):
     m = run_ensemble(config.params, dt=config.dt, t_end=config.t_end,
                      n_traj=config.n_traj, seed=config.seed, strict=False)
     # rows run over the moments of each sample time in turn
     val, se = (np.stack([getattr(m, field + kind)[(slice(None), *index)]
                          for _, field, index in _MOMENTS], axis=1).ravel()
                for kind in ("", "_stderr"))
-    meta = (["mode = stochastic"] + _key_lines(config.params)
-            + _key_lines(config, ("seed", "dt", "t_end", "n_traj"))
+    meta = (_head(config, "seed", "dt", "t_end", "n_traj")
             + ["stderr combines the real and imaginary standard errors "
                "in quadrature"])
     footer = [f"divergent = {m.divergent} of {m.n_traj}"]
@@ -354,36 +349,30 @@ def _run_stochastic(config: RunConfig, out: Path):
                "moment": [name for name, _, _ in _MOMENTS] * m.t_grid.size,
                "real": val.real, "imag": val.imag,
                "stderr": np.hypot(se.real, se.imag)}
-    return [_write_csv(out / "stochastic.csv", meta, columns, footer)]
+    yield "stochastic", meta, columns, footer
 
 
-def _run_threshold(config: RunConfig, out: Path):
+def _run_threshold(config: RunConfig):
     result = pulsing_threshold(config.params, _THRESHOLD_RANGE)
     columns = {"epsilon": result.scan_eps,
                "min_real_eigenvalue": result.scan_stability}
-    meta = (["mode = threshold"] + _key_lines(config.params)
-            + [f"scan = {_fmt(_THRESHOLD_RANGE[0])} .. "
-               f"{_fmt(_THRESHOLD_RANGE[1])}"])
+    meta = _head(config) + ["scan = {} .. {}".format(
+        *map(_fmt, _THRESHOLD_RANGE))]
     footer = [f"eps_critical = {_fmt(result.eps_critical)}",
-              f"bracket = {_fmt(result.bracket[0])} .. "
-              f"{_fmt(result.bracket[1])}"]
-    return [_write_csv(out / "threshold.csv", meta, columns, footer)]
+              "bracket = {} .. {}".format(*map(_fmt, result.bracket))]
+    yield "threshold", meta, columns, footer
 
 
-def _run_figures(config: RunConfig, out: Path):
-    regimes = (config.regime,) if config.regime is not None else (1, 2)
-    written = []
-    for regime in regimes:
+def _run_figures(config: RunConfig):
+    for regime in (config.regime,) if config.regime is not None else (1, 2):
         p = REGIME_PRESETS[regime]
         report = _report_columns(p, config)
         meta = ([f"regime = {regime}"] + _key_lines(p)
                 + _key_lines(config, _GRID_KEYS))
         for stem, (file_regimes, names) in _FIGURE_FILES.items():
             if regime in file_regimes:
-                columns = {c: report[c] for c in ["omega", *names]}
-                written.append(_write_csv(
-                    out / f"{stem}_regime{regime}.csv", meta, columns))
-    return written
+                yield (f"{stem}_regime{regime}", meta,
+                       {c: report[c] for c in ["omega", *names]}, [])
 
 
 _RUNNERS = {
@@ -402,33 +391,27 @@ _EXIT_CODES = {ConfigParse: 2, NonPositiveRate: 2, NotStationary: 3,
                NonHermitianResidue: 6}
 
 
-def _write_gnuplot(written: list[tuple[Path, dict]], out: Path) -> Path:
-    lines = ["set datafile separator ','", "set key outside", ""]
-    for path, (x, *names) in written:
-        plot = ", ".join(
-            f"'{path.name}' using 1:{idx + 2} with lines title "
-            f"'{name}'" for idx, name in enumerate(names))
-        lines += [f"set xlabel '{x}'", f"plot {plot}", "pause -1", ""]
-    script = out / "plots.gp"
-    try:
-        script.write_text("\n".join(lines), encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write {script}: {exc}") from exc
-    return script
-
-
 def run(config: RunConfig) -> list[Path]:
-    """Execute one mode and return the artifact paths it wrote."""
+    """Compute every artifact of one mode, then write them and return their
+    paths: a failed computation leaves no file and no output directory."""
+    artifacts = list(_RUNNERS[config.mode](config))
+    files = {f"{stem}.csv": _csv_text(meta, columns, footer)
+             for stem, meta, columns, footer in artifacts}
+    if config.gnuplot:
+        lines = ["set datafile separator ','", "set key outside", ""]
+        for stem, _, (x, *names), _ in artifacts:
+            plot = ", ".join(f"'{stem}.csv' using 1:{k} with lines title "
+                             f"'{name}'" for k, name in enumerate(names, 2))
+            lines += [f"set xlabel '{x}'", f"plot {plot}", "pause -1", ""]
+        files["plots.gp"] = "\n".join(lines)
     out = Path(config.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
-        raise IoError(f"cannot create output directory {out}: {exc}") from exc
-    written = _RUNNERS[config.mode](config, out)
-    paths = [path for path, _ in written]
-    if config.gnuplot:
-        paths.append(_write_gnuplot(written, out))
-    return paths
+        raise IoError(f"cannot write to {out}: {exc}") from exc
+    return [out / name for name in files]
 
 
 def main(argv: list[str] | None = None) -> int:

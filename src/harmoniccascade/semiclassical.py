@@ -138,7 +138,8 @@ def algebraic_steady_state(p: SystemParams) -> FieldState:
     from 0, so one bracketed root in t gives the only stationary point, with
     finite amplitudes for every finite pump.  t is the least float at which
     the right side reaches |epsilon|, found by bisection: 0 for a zero pump.
-    NonPositiveRate refuses rates that put q or beta out of float range.
+    NonPositiveRate refuses rates that put q or beta, or a pump that puts
+    t^2, out of float range.
     """
     validate_params(p)
     # Python floats: their products overflow to inf without a warning.
@@ -167,6 +168,9 @@ def algebraic_steady_state(p: SystemParams) -> FieldState:
     if below(t_hi):
         raise ValueError(f"the steady state's root is not below t = {t_hi:g}")
     t = _bisect(below, 0.0, t_hi, 0.0)[1]
+    if t * t == math.inf:
+        raise NonPositiveRate(f"|epsilon| = {pump:g} puts the steady state's "
+                              "amplitudes out of float range")
     a1 = e / (g1 + beta * t)
     # Negated factors first: the products then keep a real pump's amplitudes
     # free of negative zeros, and no intermediate overflows.

@@ -404,15 +404,28 @@ def test_unwritable_output_dir(tmp_path, capsys):
     blocker.write_text("", encoding="utf-8")
     code = main(["steady", "--epsilon", "0", "--out", str(blocker)])
     assert code == 4
-    assert "error:" in capsys.readouterr().err
+    assert f"error: cannot write to {blocker}: " in capsys.readouterr().err
 
 
 def test_gnuplot_script_references_artifacts(tmp_path):
-    assert main(["figures", "--regime", "1", "--omega-range", "-4:4:9",
-                 "--gnuplot", "--out", str(tmp_path)]) == 0
-    script = (tmp_path / "plots.gp").read_text(encoding="utf-8")
-    assert "obr_regime1.csv" in script
-    assert "plot" in script
+    # One plot line per CSV, drawing column k >= 2 against column 1 under
+    # its header name.
+    for mode in ("figures", "spectra"):
+        out = tmp_path / mode
+        assert main([mode, "--omega-range", "-4:4:9", "--gnuplot",
+                     "--out", str(out)]) == 0
+        script = (out / "plots.gp").read_text(encoding="utf-8")
+        plots = [ln for ln in script.splitlines() if ln.startswith("plot ")]
+        csvs = sorted(out.glob("*.csv"))
+        assert len(csvs) == {"figures": 4, "spectra": 1}[mode]
+        assert len(plots) == len(csvs)
+        for path in csvs:
+            line, = (ln for ln in plots if f"'{path.name}'" in ln)
+            header = _read_rows(path)[0]
+            assert re.findall(r"'([^']*)' using 1:(\d+) with lines title "
+                              r"'([^']*)'", line) == [
+                (path.name, str(k), name)
+                for k, name in enumerate(header[1:], 2)]
 
 
 def test_gnuplot_rejected_in_stochastic_mode(tmp_path, capsys):
@@ -453,10 +466,26 @@ def test_failed_numerical_check_exit_code(monkeypatch, tmp_path, capsys):
         raise NonHermitianResidue("imaginary residue 1e-09 in quadrature "
                                   "spectrum at omega=0")
 
+    out, spectrum_grid = tmp_path / "out", cli.spectrum_grid
     monkeypatch.setattr(cli, "spectrum_grid", failing)
     for mode in ("spectra", "correlations", "figures"):
-        assert main([mode, "--regime", "1", "--out", str(tmp_path)]) == 6
+        assert main([mode, "--regime", "1", "--out", str(out)]) == 6
         assert capsys.readouterr().err.startswith("error: imaginary residue")
+    # figures fails on its second regime, after the first one's files were
+    # computed: none of them is written, and no output directory made.
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            failing()
+        return spectrum_grid(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "spectrum_grid", second_fails)
+    assert main(["figures", "--omega-range", "-4:4:9", "--gnuplot",
+                 "--out", str(out)]) == 6
+    assert capsys.readouterr().err.startswith("error: imaginary residue")
+    assert len(calls) == 2
     assert not any(tmp_path.iterdir())
 
 
@@ -500,43 +529,46 @@ def test_deterministic_modes_match_references(mode, tmp_path):
 
 @pytest.fixture(scope="module")
 def written_csvs(tmp_path_factory):
-    """(path, meta, columns, footer) of each CSV every mode writes, on a
+    """(text, meta, columns, footer) of each CSV every mode writes, on a
     9-point grid and a 40-trajectory ensemble."""
     calls = []
-    write = cli._write_csv
+    csv_text = cli._csv_text
 
-    def record(path, meta, columns, footer=None):
-        calls.append((path, meta, columns, footer))
-        return write(path, meta, columns, footer)
+    def record(meta, columns, footer):
+        text = csv_text(meta, columns, footer)
+        calls.append((text, meta, columns, footer))
+        return text
 
     out = tmp_path_factory.mktemp("modes")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_write_csv", record)
+        patch.setattr(cli, "_csv_text", record)
         for mode in cli.MODES:
             args = [mode, "--omega-range", "-4:4:9", "--out", str(out / mode)]
             if mode == "stochastic":
                 args += ["--n-traj", "40", "--dt", "0.005", "--t-end", "2"]
             assert main(args) == 0
+    # The files hold exactly the texts made, byte for byte.
+    assert (sorted(p.read_bytes() for p in out.glob("*/*.csv"))
+            == sorted(text.encode("utf-8") for text, _, _, _ in calls))
     return calls
 
 
 def test_writer_matches_per_cell_oracle(written_csvs, tmp_path):
     """The column writer's bytes equal csv.writer's, cell by cell."""
     assert len(written_csvs) == 9
-    for path, meta, columns, footer in written_csvs:
-        ref = tmp_path / path.name
+    ref = tmp_path / "ref.csv"
+    for text, meta, columns, footer in written_csvs:
         write_csv_per_cell(ref, meta, list(columns), zip(*columns.values()),
                            footer)
-        assert path.read_bytes() == ref.read_bytes(), path.name
+        assert text.encode("utf-8") == ref.read_bytes(), meta[0]
     edges = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308]
     columns = {"x": np.array(edges), "name": [f"n_{i}" for i in range(6)],
                "y": [0.1, 1.0, -2.5, 1e-300, 123456789.0, 3.0]}
-    got, ref = tmp_path / "edges.csv", tmp_path / "edges_ref.csv"
-    cli._write_csv(got, ["a = 1"], columns, ["end"])
+    got = cli._csv_text(["a = 1"], columns, ["end"]).encode("utf-8")
     write_csv_per_cell(ref, ["a = 1"], list(columns), zip(*columns.values()),
                        ["end"])
-    assert got.read_bytes() == ref.read_bytes()
-    assert b"\n-0,n_0,0.10000000000000001\nnan,n_1,1\n" in got.read_bytes()
+    assert got == ref.read_bytes()
+    assert b"\n-0,n_0,0.10000000000000001\nnan,n_1,1\n" in got
 
 
 def test_no_name_or_cell_needs_quoting(written_csvs):

@@ -299,6 +299,22 @@ def test_couplings_out_of_float_range_are_refused(kappa1, kappa2, tmp_path):
                      str(tmp_path)]) == 2
 
 
+def test_pump_that_puts_t_squared_out_of_float_range_is_refused(tmp_path):
+    # The root t is about 8.7e157, so t^2 overflows: the closed form would
+    # land on alpha = (1.15e212, -0, 0) and report self-pulsing there.  At
+    # the true point kappa2 |alpha3| is t^2 too, so no drift is representable.
+    p = SystemParams(1e-10, 1e60, 1e300, 1.0, 1.0, 0.5)
+    for solve in (algebraic_steady_state, require_steady_state):
+        with pytest.raises(NonPositiveRate, match="out of float range"):
+            solve(p)
+    config = tmp_path / "pump.cfg"
+    config.write_text("kappa1 = 1e-10\nkappa2 = 1e60\nepsilon = 1e300\n"
+                      "gamma1 = 1\ngamma2 = 1\ngamma3 = 0.5\n")
+    out = tmp_path / "out"
+    assert main(["steady", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_weak_couplings_inside_the_range_leave_the_pumped_mode_alone():
     # kappa1 kappa2 = 1e-300 is still a normal float: the harmonics barely
     # fill and alpha1 is the empty cavity's epsilon / gamma1.
